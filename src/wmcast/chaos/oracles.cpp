@@ -260,16 +260,32 @@ std::vector<OracleResult> check_controller_invariants(
   }
   if (assoc_ok) out.push_back(ok("invariant.association"));
 
+  // Projection consistency: the controller patches its compact projection in
+  // place every epoch; it must stay field-for-field the cold projection of
+  // the committed state.
+  std::vector<int> fresh_rows;
+  const wlan::Scenario fresh_sc = st.to_scenario(&fresh_rows);
+  const std::string diff = wlan::first_difference(c.scenario(), fresh_sc);
+  if (fresh_rows != c.row_slot()) {
+    out.push_back(bad("invariant.projection", "row_slot differs from a fresh projection's"));
+  } else if (!diff.empty()) {
+    out.push_back(bad("invariant.projection",
+                      "scenario field '" + diff + "' differs from a fresh projection's"));
+  } else {
+    out.push_back(ok("invariant.projection"));
+  }
+
   // Load-report consistency: the committed report must equal a fresh
-  // recomputation from the committed association. Assumes the controller runs
-  // the default multi-rate model (true for every chaos campaign config).
+  // recomputation from the committed association on a fresh projection (so a
+  // patch that drifted consistently cannot hide behind its own scenario).
+  // Assumes the controller runs the default multi-rate model (true for every
+  // chaos campaign config).
   if (assoc_ok) {
     const auto fresh = wlan::compute_loads(
-        c.scenario(), ctrl::compact_association(slot_ap, c.row_slot()),
-        /*multi_rate=*/true);
+        fresh_sc, ctrl::compact_association(slot_ap, fresh_rows), /*multi_rate=*/true);
     const auto& live = c.loads();
-    if (live.ap_load != fresh.ap_load || live.total_load != fresh.total_load ||
-        live.max_load != fresh.max_load ||
+    if (live.ap_load != fresh.ap_load || live.tx_rate != fresh.tx_rate ||
+        live.total_load != fresh.total_load || live.max_load != fresh.max_load ||
         live.satisfied_users != fresh.satisfied_users ||
         live.budget_violations != fresh.budget_violations) {
       std::ostringstream os;

@@ -17,8 +17,11 @@
 // Structural invariants checked on the controller after every epoch:
 //  * association sanity — slot_ap sized to the slot space, every served
 //    user's AP in radio range, no user served without wanting service;
+//  * projection consistency — the in-place patched compact scenario and its
+//    row map are field-for-field a fresh cold projection of the committed
+//    state (DESIGN.md §17);
 //  * load-report consistency — the committed LoadReport equals a fresh
-//    recomputation from the committed association;
+//    recomputation from the committed association on that fresh projection;
 //  * monotone epoch counters, and telemetry conservation: ingested =
 //    applied + invalid, per-type counts sum to ingested, admitted +
 //    rejected <= join events, handoffs <= reassociations.

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 
 #include "wmcast/assoc/policy.hpp"
@@ -32,18 +33,26 @@ AssociationController::AssociationController(const wlan::Scenario& initial,
                                              ControllerConfig cfg)
     : cfg_(std::move(cfg)),
       state_(NetworkState::from_scenario(initial, cfg_.rate_table)),
-      compact_sc_(initial),
+      // Every seeded slot wants service, so `initial` already is the
+      // projection whenever it was built with the controller's rate table.
+      compact_sc_(initial.rate_table() != nullptr && *initial.rate_table() == cfg_.rate_table
+                      ? initial
+                      : state_.to_scenario()),
       rng_(cfg_.seed),
       pool_(util::ThreadPool::resolve_threads(cfg_.threads)) {
   util::require(assoc::is_algorithm(cfg_.full_solver),
                 "AssociationController: unknown full solver '" + cfg_.full_solver + "'");
   util::require(cfg_.degradation_threshold >= 0.0,
                 "AssociationController: negative degradation threshold");
-  compact_sc_ = state_.to_scenario(&row_slot_);
+  row_slot_.resize(static_cast<size_t>(state_.n_slots()));
+  std::iota(row_slot_.begin(), row_slot_.end(), 0);
   engine_.build_full(StateSource(state_), cfg_.multi_rate);
   sync_engine_stats(nullptr);
   const auto sol = solve_full(compact_sc_, row_slot_);
   slot_ap_ = slot_association(sol.assoc, row_slot_, state_.n_slots());
+  for (int s = 0; s < state_.n_slots(); ++s) {
+    if (slot_ap_[static_cast<size_t>(s)] == wlan::kNoAp) unserved_.push_back(s);
+  }
   loads_ = sol.loads;
   baseline_load_ = sol.loads.total_load;
   tele_.baseline_refreshes.inc();
@@ -590,7 +599,8 @@ assoc::Solution AssociationController::solve_full(const wlan::Scenario& sc,
   return assoc::solve_by_name(cfg_.full_solver, sc, rng_, opt);
 }
 
-void AssociationController::mark_engine_dirty(const NetworkState& next) {
+void AssociationController::mark_engine_dirty(const NetworkState& next,
+                                              const std::vector<int>& touched) {
   if (group_mark_.size() < static_cast<size_t>(next.n_aps())) {
     group_mark_.resize(static_cast<size_t>(next.n_aps()), 0);
   }
@@ -610,7 +620,7 @@ void AssociationController::mark_engine_dirty(const NetworkState& next) {
     for (int a = 0; a < next.n_aps(); ++a) mark(a);
   } else {
     std::vector<int> near;  // reused per slot
-    for (int s = 0; s < next.n_slots(); ++s) {
+    for (const int s : touched) {
       if (s < state_.n_slots() && state_.slot(s) == next.slot(s)) continue;
       // APs that held this slot before: exactly the groups of the sets the
       // inverted index lists for it. Across deferred epochs the index still
@@ -860,6 +870,124 @@ AssociationController::ChangeCount AssociationController::count_changes(
   return c;
 }
 
+int AssociationController::patch_projection(const NetworkState& next,
+                                            const std::vector<int>& touched) {
+  // Edits in the committed projection's row ids: row_slot_ ascends, so a
+  // slot's row — or the row a newly served slot lands in front of — is a
+  // binary search away, and `touched` ascending keeps erases and inserts
+  // ascending too.
+  wlan::ScenarioDelta delta;
+  std::vector<int> inserted_slots;
+  for (const int s : touched) {
+    const UserSlot before = s < state_.n_slots() ? state_.slot(s) : UserSlot{};
+    const UserSlot& after = next.slot(s);
+    if (!before.wants_service() && !after.wants_service()) continue;
+    const int row = static_cast<int>(
+        std::lower_bound(row_slot_.begin(), row_slot_.end(), s) - row_slot_.begin());
+    if (!after.wants_service()) {
+      delta.erased.push_back(row);
+    } else if (!before.wants_service()) {
+      delta.inserted.push_back({row, after.pos, after.session});
+      inserted_slots.push_back(s);
+    } else {
+      if (before.pos != after.pos) delta.moved.emplace_back(row, after.pos);
+      if (before.session != after.session) delta.rezapped.emplace_back(row, after.session);
+    }
+  }
+  for (int t = 0; t < next.n_sessions(); ++t) {
+    if (next.session_rate(t) != state_.session_rate(t)) {
+      compact_sc_.set_session_rate(t, next.session_rate(t));
+    }
+  }
+  const int queried = compact_sc_.patch(delta);
+  if (delta.erased.empty() && delta.inserted.empty()) return queried;
+
+  // Splice the row map the same way: drop the erased rows, insert the new
+  // slots in front of their rows.
+  row_slot_spare_.clear();
+  size_t ie = 0;
+  size_t ii = 0;
+  for (size_t r = 0;; ++r) {
+    while (ii < delta.inserted.size() &&
+           static_cast<size_t>(delta.inserted[ii].before) == r) {
+      row_slot_spare_.push_back(inserted_slots[ii++]);
+    }
+    if (r == row_slot_.size()) break;
+    if (ie < delta.erased.size() && static_cast<size_t>(delta.erased[ie]) == r) {
+      ++ie;
+      continue;
+    }
+    row_slot_spare_.push_back(row_slot_[r]);
+  }
+  std::swap(row_slot_, row_slot_spare_);
+  return queried;
+}
+
+void AssociationController::patch_loads(const wlan::Association& cand,
+                                        const std::vector<int>& cand_slot,
+                                        const std::vector<int>& touched, bool all_aps) {
+  const wlan::Scenario& sc = compact_sc_;
+  wlan::LoadReport& out = loads_next_;
+  out = loads_;
+
+  // APs that gained or lost a member (re-placed slots) or whose member's
+  // record changed (touched slots), on the old and the new side.
+  std::vector<int> aps;
+  const auto old_ap = [&](size_t s) { return s < slot_ap_.size() ? slot_ap_[s] : wlan::kNoAp; };
+  for (size_t s = 0; s < cand_slot.size(); ++s) {
+    const int o = old_ap(s);
+    const int w = cand_slot[s];
+    if (o == w) continue;
+    out.satisfied_users += (w != wlan::kNoAp) - (o != wlan::kNoAp);
+    if (o != wlan::kNoAp) aps.push_back(o);
+    if (w != wlan::kNoAp) aps.push_back(w);
+  }
+  for (const int s : touched) {
+    const int o = old_ap(static_cast<size_t>(s));
+    const int w = cand_slot[static_cast<size_t>(s)];
+    if (o != wlan::kNoAp) aps.push_back(o);
+    if (w != wlan::kNoAp) aps.push_back(w);
+  }
+  if (all_aps) {
+    aps.resize(static_cast<size_t>(sc.n_aps()));
+    std::iota(aps.begin(), aps.end(), 0);
+  }
+  std::sort(aps.begin(), aps.end());
+  aps.erase(std::unique(aps.begin(), aps.end()), aps.end());
+
+  // compute_loads' fold, per AP: bottleneck member rate per session, then
+  // the session loads in session order.
+  std::vector<double> min_rate(static_cast<size_t>(sc.n_sessions()));
+  for (const int a : aps) {
+    std::fill(min_rate.begin(), min_rate.end(), std::numeric_limits<double>::infinity());
+    const wlan::IndexSpan rows = sc.users_of_ap(a);
+    const double* rates = sc.rates_of_ap(a);
+    for (size_t m = 0; m < rows.size(); ++m) {
+      if (cand.ap_of(rows[m]) != a) continue;
+      double& mr = min_rate[static_cast<size_t>(sc.user_session(rows[m]))];
+      mr = std::min(mr, rates[m]);
+    }
+    auto& tx = out.tx_rate[static_cast<size_t>(a)];
+    double load = 0.0;
+    for (int s = 0; s < sc.n_sessions(); ++s) {
+      const double mr = min_rate[static_cast<size_t>(s)];
+      tx[static_cast<size_t>(s)] = 0.0;
+      if (mr == std::numeric_limits<double>::infinity()) continue;
+      tx[static_cast<size_t>(s)] = cfg_.multi_rate ? mr : sc.basic_rate();
+      load += sc.session_rate(s) / tx[static_cast<size_t>(s)];
+    }
+    out.ap_load[static_cast<size_t>(a)] = load;
+  }
+  out.total_load = 0.0;
+  out.max_load = 0.0;
+  out.budget_violations = 0;
+  for (const double load : out.ap_load) {
+    out.total_load += load;
+    out.max_load = std::max(out.max_load, load);
+    if (util::exceeds_budget(load, sc.load_budget())) ++out.budget_violations;
+  }
+}
+
 EpochReport AssociationController::drain() {
   const auto t0 = std::chrono::steady_clock::now();
   auto events = queue_.drain(cfg_.max_batch);
@@ -940,149 +1068,186 @@ EpochReport AssociationController::drain() {
   // --- 3. dirty region + compact projection. -------------------------------
   // Mark the APs the batch touched; eager mode re-projects their candidate
   // sets now, lazy mode defers the rebuild until a full solve needs the
-  // engine (most serve epochs never do).
-  mark_engine_dirty(next);
+  // engine (most serve epochs never do). The dirty region reads the
+  // committed projection, so it runs before the projection is patched.
+  std::vector<int> touched;  // slots the applied events named, ascending
+  touched.reserve(slot_events.size());
+  for (const auto& [slot, cnt] : slot_events) touched.push_back(slot);
+  mark_engine_dirty(next, touched);
   if (!cfg_.lazy_engine_refresh) flush_engine(next);
-  const auto dirty_slots = compute_dirty_slots(state_, next, slot_ap_);
+  const auto dirty_slots = dirty_slots_from_delta(state_, next, slot_ap_, touched,
+                                                  unserved_, compact_sc_, row_slot_);
   rep.dirty_users = static_cast<int>(dirty_slots.size());
   tele_.dirty_region_size.record(static_cast<double>(dirty_slots.size()));
 
-  std::vector<int> row_slot;
-  auto sc = next.to_scenario(&row_slot);
-
-  std::vector<char> dirty_mask(static_cast<size_t>(next.n_slots()), 0);
-  for (const int s : dirty_slots) dirty_mask[static_cast<size_t>(s)] = 1;
-
-  // Sticky carry: everyone whose old AP is still valid keeps it — including
-  // dirty users, whose placement is *reconsidered* (by the restricted polish)
-  // rather than discarded. Re-placing the dirty region from scratch would
-  // re-associate users whose small move changed nothing, defeating the
-  // signaling advantage the controller exists for.
-  const int n_rows = sc.n_users();
-  auto carried = wlan::Association::none(n_rows);
-  std::vector<int> dirty_rows;
-  for (int r = 0; r < n_rows; ++r) {
-    const int slot = row_slot[static_cast<size_t>(r)];
-    const int old = static_cast<size_t>(slot) < slot_ap_.size()
-                        ? slot_ap_[static_cast<size_t>(slot)]
-                        : wlan::kNoAp;
-    const bool valid = old != wlan::kNoAp && sc.in_range(old, r);
-    if (valid) carried.user_ap[static_cast<size_t>(r)] = old;
-    if (dirty_mask[static_cast<size_t>(slot)] || !valid) dirty_rows.push_back(r);
+  bool stream_rate_changed = false;
+  for (int t = 0; t < next.n_sessions(); ++t) {
+    stream_rate_changed |= next.session_rate(t) != state_.session_rate(t);
   }
+  const double old_basic_rate = compact_sc_.basic_rate();
 
-  // --- 4. incremental repair. ----------------------------------------------
-  auto cand = repair(sc, carried, dirty_rows, /*polish=*/true);
-  tele_.incremental_repairs.inc();
-  auto cand_slot = slot_association(cand, row_slot, next.n_slots());
-  auto cc = count_changes(slot_ap_, cand_slot, next);
+  // From here to the commit compact_sc_/row_slot_ already describe `next`.
+  // Should anything throw before the commit, the committed state_ is
+  // re-projected cold so the two never drift apart.
+  const wlan::Scenario& sc = compact_sc_;
+  const std::vector<int>& row_slot = row_slot_;
+  wlan::Association cand;
+  std::vector<int> cand_slot;
+  ChangeCount cc;
+  wlan::LoadReport& cand_loads = loads_next_;
+  try {
+    rep.rows_projected = patch_projection(next, touched);
 
-  // --- 5. bounded signaling: roll back to the minimal forced repair. -------
-  if (cfg_.max_reassoc_per_epoch >= 0 && cc.voluntary > cfg_.max_reassoc_per_epoch) {
-    rep.rolled_back = true;
-    tele_.rollbacks.inc();
-    std::vector<int> forced_rows;
+    std::vector<char> dirty_mask(static_cast<size_t>(next.n_slots()), 0);
+    for (const int s : dirty_slots) dirty_mask[static_cast<size_t>(s)] = 1;
+
+    // Sticky carry: everyone whose old AP is still valid keeps it —
+    // including dirty users, whose placement is *reconsidered* (by the
+    // restricted polish) rather than discarded. Re-placing the dirty region
+    // from scratch would re-associate users whose small move changed
+    // nothing, defeating the signaling advantage the controller exists for.
+    const int n_rows = sc.n_users();
+    auto carried = wlan::Association::none(n_rows);
+    std::vector<int> dirty_rows;
     for (int r = 0; r < n_rows; ++r) {
-      if (carried.ap_of(r) == wlan::kNoAp) forced_rows.push_back(r);
+      const int slot = row_slot[static_cast<size_t>(r)];
+      const int old = static_cast<size_t>(slot) < slot_ap_.size()
+                          ? slot_ap_[static_cast<size_t>(slot)]
+                          : wlan::kNoAp;
+      const bool valid = old != wlan::kNoAp && sc.in_range(old, r);
+      if (valid) carried.user_ap[static_cast<size_t>(r)] = old;
+      if (dirty_mask[static_cast<size_t>(slot)] || !valid) dirty_rows.push_back(r);
     }
-    cand = repair(sc, carried, forced_rows, /*polish=*/false);
+
+    // --- 4. incremental repair. --------------------------------------------
+    cand = repair(sc, carried, dirty_rows, /*polish=*/true);
+    tele_.incremental_repairs.inc();
     cand_slot = slot_association(cand, row_slot, next.n_slots());
     cc = count_changes(slot_ap_, cand_slot, next);
-  }
 
-  auto cand_loads = wlan::compute_loads(sc, cand, cfg_.multi_rate);
+    // --- 5. bounded signaling: roll back to the minimal forced repair. -----
+    if (cfg_.max_reassoc_per_epoch >= 0 && cc.voluntary > cfg_.max_reassoc_per_epoch) {
+      rep.rolled_back = true;
+      tele_.rollbacks.inc();
+      std::vector<int> forced_rows;
+      for (int r = 0; r < n_rows; ++r) {
+        if (carried.ap_of(r) == wlan::kNoAp) forced_rows.push_back(r);
+      }
+      cand = repair(sc, carried, forced_rows, /*polish=*/false);
+      cand_slot = slot_association(cand, row_slot, next.n_slots());
+      cc = count_changes(slot_ap_, cand_slot, next);
+    }
 
-  // --- 6. baseline refresh + degradation fallback. -------------------------
-  ++epochs_since_refresh_;
-  std::optional<assoc::Solution> full;
-  if (cfg_.full_refresh_epochs > 0 && epochs_since_refresh_ >= cfg_.full_refresh_epochs &&
-      sc.n_users() > 0) {
-    flush_engine(next);
-    full = solve_full(sc, row_slot);
-    baseline_load_ = full->loads.total_load;
-    epochs_since_refresh_ = 0;
-    tele_.baseline_refreshes.inc();
-  }
+    patch_loads(cand, cand_slot, touched,
+                stream_rate_changed ||
+                    (!cfg_.multi_rate && sc.basic_rate() != old_basic_rate));
 
-  const bool no_baseline = baseline_load_ <= 0.0 && cand_loads.total_load > 0.0;
-  const bool degraded =
-      baseline_load_ > 0.0 &&
-      cand_loads.total_load > baseline_load_ * (1.0 + cfg_.degradation_threshold);
-  if (sc.n_users() > 0 && (no_baseline || degraded) && !rep.rolled_back) {
-    if (!full) {
+    // --- 6. baseline refresh + degradation fallback. -----------------------
+    ++epochs_since_refresh_;
+    std::optional<assoc::Solution> full;
+    if (cfg_.full_refresh_epochs > 0 && epochs_since_refresh_ >= cfg_.full_refresh_epochs &&
+        sc.n_users() > 0) {
       flush_engine(next);
       full = solve_full(sc, row_slot);
       baseline_load_ = full->loads.total_load;
       epochs_since_refresh_ = 0;
+      tele_.baseline_refreshes.inc();
     }
-    const double acceptable = baseline_load_ * (1.0 + cfg_.degradation_threshold);
-    // Re-check against the *fresh* baseline: a stale baseline often reports
-    // drift that a present-day full solve no longer confirms (the instance
-    // itself got harder). Escalating then would pay handoffs for nothing.
-    const bool still_degraded = cand_loads.total_load > acceptable;
 
-    // Escalation ladder. Step 1: a *warm* global polish — every user movable,
-    // no gain floor (this runs rarely; when it does we want the drift gone).
-    // Warm-starting from the current association recovers the quality for a
-    // fraction of the handoffs a cold solution adoption costs, because users
-    // already well-placed never move; stopping halfway into the degradation
-    // band (rather than at a local optimum) keeps the burst short without
-    // re-triggering next epoch.
-    assoc::LocalSearchParams lp;
-    lp.objective = cfg_.objective;
-    lp.enforce_budget = cfg_.enforce_budget;
-    lp.multi_rate = cfg_.multi_rate;
-    if (still_degraded) {
-      lp.target_total = baseline_load_ * (1.0 + 0.5 * cfg_.degradation_threshold);
-      auto warm = assoc::local_search(sc, cand, lp, nullptr, &repair_ws_);
-      auto warm_slot = slot_association(warm.assoc, row_slot, next.n_slots());
-      auto wc = count_changes(slot_ap_, warm_slot, next);
-      const bool warm_within_cap = cfg_.max_reassoc_per_epoch < 0 ||
-                                   wc.voluntary <= cfg_.max_reassoc_per_epoch;
-      // Good enough = back inside the degradation band, or matching the cold
-      // solution's quality (within 2%) — in the latter case adopting the cold
-      // association instead would buy nothing but a network-wide shuffle.
-      const bool warm_good =
-          warm.loads.total_load <= acceptable ||
-          warm.loads.total_load <= full->loads.total_load * 1.02;
-      if (warm_within_cap && warm.loads.total_load < cand_loads.total_load &&
-          warm_good) {
-        cand = std::move(warm.assoc);
-        cand_slot = std::move(warm_slot);
-        cand_loads = std::move(warm.loads);
-        cc = wc;
-        tele_.warm_escalations.inc();
-      } else {
-        // Step 2: adopt the cold full solution outright.
-        const auto full_slot = slot_association(full->assoc, row_slot, next.n_slots());
-        const auto fc = count_changes(slot_ap_, full_slot, next);
-        const bool within_cap = cfg_.max_reassoc_per_epoch < 0 ||
-                                fc.voluntary <= cfg_.max_reassoc_per_epoch;
-        if (within_cap && full->loads.total_load < cand_loads.total_load) {
-          cand = full->assoc;
-          cand_slot = full_slot;
-          cand_loads = full->loads;
-          cc = fc;
-          rep.used_full_solve = true;
-          tele_.full_solves.inc();
+    const bool no_baseline = baseline_load_ <= 0.0 && cand_loads.total_load > 0.0;
+    const bool degraded =
+        baseline_load_ > 0.0 &&
+        cand_loads.total_load > baseline_load_ * (1.0 + cfg_.degradation_threshold);
+    if (sc.n_users() > 0 && (no_baseline || degraded) && !rep.rolled_back) {
+      if (!full) {
+        flush_engine(next);
+        full = solve_full(sc, row_slot);
+        baseline_load_ = full->loads.total_load;
+        epochs_since_refresh_ = 0;
+      }
+      const double acceptable = baseline_load_ * (1.0 + cfg_.degradation_threshold);
+      // Re-check against the *fresh* baseline: a stale baseline often
+      // reports drift that a present-day full solve no longer confirms (the
+      // instance itself got harder). Escalating then would pay handoffs for
+      // nothing.
+      const bool still_degraded = cand_loads.total_load > acceptable;
+
+      // Escalation ladder. Step 1: a *warm* global polish — every user
+      // movable, no gain floor (this runs rarely; when it does we want the
+      // drift gone). Warm-starting from the current association recovers the
+      // quality for a fraction of the handoffs a cold solution adoption
+      // costs, because users already well-placed never move; stopping
+      // halfway into the degradation band (rather than at a local optimum)
+      // keeps the burst short without re-triggering next epoch.
+      assoc::LocalSearchParams lp;
+      lp.objective = cfg_.objective;
+      lp.enforce_budget = cfg_.enforce_budget;
+      lp.multi_rate = cfg_.multi_rate;
+      if (still_degraded) {
+        lp.target_total = baseline_load_ * (1.0 + 0.5 * cfg_.degradation_threshold);
+        auto warm = assoc::local_search(sc, cand, lp, nullptr, &repair_ws_);
+        auto warm_slot = slot_association(warm.assoc, row_slot, next.n_slots());
+        auto wc = count_changes(slot_ap_, warm_slot, next);
+        const bool warm_within_cap = cfg_.max_reassoc_per_epoch < 0 ||
+                                     wc.voluntary <= cfg_.max_reassoc_per_epoch;
+        // Good enough = back inside the degradation band, or matching the
+        // cold solution's quality (within 2%) — in the latter case adopting
+        // the cold association instead would buy nothing but a network-wide
+        // shuffle.
+        const bool warm_good =
+            warm.loads.total_load <= acceptable ||
+            warm.loads.total_load <= full->loads.total_load * 1.02;
+        if (warm_within_cap && warm.loads.total_load < cand_loads.total_load &&
+            warm_good) {
+          cand = std::move(warm.assoc);
+          cand_slot = std::move(warm_slot);
+          cand_loads = std::move(warm.loads);
+          cc = wc;
+          tele_.warm_escalations.inc();
         } else {
-          tele_.full_solve_rejections.inc();
+          // Step 2: adopt the cold full solution outright.
+          const auto full_slot = slot_association(full->assoc, row_slot, next.n_slots());
+          const auto fc = count_changes(slot_ap_, full_slot, next);
+          const bool within_cap = cfg_.max_reassoc_per_epoch < 0 ||
+                                  fc.voluntary <= cfg_.max_reassoc_per_epoch;
+          if (within_cap && full->loads.total_load < cand_loads.total_load) {
+            cand = full->assoc;
+            cand_slot = full_slot;
+            cand_loads = full->loads;
+            cc = fc;
+            rep.used_full_solve = true;
+            tele_.full_solves.inc();
+          } else {
+            tele_.full_solve_rejections.inc();
+          }
         }
       }
     }
+    if (sc.n_users() == 0) baseline_load_ = 0.0;
+  } catch (...) {
+    compact_sc_ = state_.to_scenario(&row_slot_);
+    throw;
   }
-  if (sc.n_users() == 0) baseline_load_ = 0.0;
 
   // --- 7. commit. ----------------------------------------------------------
   // Translate the epoch's deltas into kconn dirty marks first: the marking
-  // needs the pre-commit state/projection (old heard-sets) alongside the
-  // final candidate association.
+  // needs the pre-commit state alongside the final candidate association.
   kconn_mark_dirty(next, cand_slot);
+  // Unserved after the epoch: only slots that were unserved, were touched or
+  // changed AP can be.
+  for (const int s : touched) unserved_.push_back(s);
+  for (size_t s = 0; s < cand_slot.size(); ++s) {
+    const int old = s < slot_ap_.size() ? slot_ap_[s] : wlan::kNoAp;
+    if (old != cand_slot[s]) unserved_.push_back(static_cast<int>(s));
+  }
+  std::sort(unserved_.begin(), unserved_.end());
+  unserved_.erase(std::unique(unserved_.begin(), unserved_.end()), unserved_.end());
+  std::erase_if(unserved_, [&](int s) {
+    return !next.slot(s).wants_service() || cand_slot[static_cast<size_t>(s)] != wlan::kNoAp;
+  });
   state_ = std::move(next);
   slot_ap_ = std::move(cand_slot);
-  compact_sc_ = std::move(sc);
-  row_slot_ = std::move(row_slot);
-  loads_ = std::move(cand_loads);
+  std::swap(loads_, loads_next_);
   ++epoch_index_;
 
   tele_.epochs.inc();

@@ -8,7 +8,9 @@
 //                   semantics) or a caller-supplied hook;
 //   3. dirty region — users whose candidate-AP set or rate moved, plus
 //                   members of multicast groups whose bottleneck rate moved
-//                   (see compute_dirty_slots);
+//                   (see compute_dirty_slots), derived from the batch's own
+//                   events; the persistent compact projection is then
+//                   patched in place (DESIGN.md §17);
 //   4. incremental repair — carry everyone else, greedily re-place the dirty
 //                   region, polish with a dirty-restricted local search;
 //   5. bounded signaling — epoch snapshots allow rejecting any outcome whose
@@ -146,6 +148,9 @@ struct EpochReport {
   int events_invalid = 0;
   int events_coalesced = 0;   // net no-ops folded away
   int dirty_users = 0;
+  // Projection rows queried from the AP grid (moved and newly served users);
+  // every other row of the persistent projection was kept in place.
+  int rows_projected = 0;
   bool used_full_solve = false;
   bool rolled_back = false;   // signaling cap forced the minimal repair
   int reassociations = 0;     // slot AP changes committed (incl. joins/drops)
@@ -204,6 +209,8 @@ class AssociationController {
   // State of the last committed epoch.
   const NetworkState& state() const { return state_; }
   const std::vector<int>& slot_ap() const { return slot_ap_; }
+  /// The compact projection, patched in place each epoch; always equal to
+  /// state().to_scenario(), rows mapped back by row_slot().
   const wlan::Scenario& scenario() const { return compact_sc_; }
   const std::vector<int>& row_slot() const { return row_slot_; }
   const wlan::LoadReport& loads() const { return loads_; }
@@ -249,8 +256,19 @@ class AssociationController {
   /// Marks every AP whose candidate sets could differ between state_ and
   /// `next` (old sets via the inverted index — still valid across deferred
   /// epochs, since the engine reflects the last flush — new in-range APs by
-  /// position). Marks accumulate in dirty_groups_ until flush_engine runs.
-  void mark_engine_dirty(const NetworkState& next);
+  /// position). `touched` lists, ascending, every slot whose record may
+  /// differ. Marks accumulate in dirty_groups_ until flush_engine runs.
+  void mark_engine_dirty(const NetworkState& next, const std::vector<int>& touched);
+  /// Patches compact_sc_/row_slot_ from state_'s projection to next's: only
+  /// the `touched` slots' rows are edited, the rest shift in place. Returns
+  /// the rows queried from the AP grid.
+  int patch_projection(const NetworkState& next, const std::vector<int>& touched);
+  /// loads_next_ = loads_ re-folded for the APs whose members, member rates
+  /// or stream rates moved between the committed epoch and `cand` (row space
+  /// of the patched projection) — bitwise equal to wlan::compute_loads.
+  /// `all_aps` re-folds every AP (a stream- or basic-rate change).
+  void patch_loads(const wlan::Association& cand, const std::vector<int>& cand_slot,
+                   const std::vector<int>& touched, bool all_aps);
   /// Rebuilds the marked groups against `st` and clears the marks. No-op when
   /// nothing is pending.
   void flush_engine(const NetworkState& st);
@@ -269,9 +287,9 @@ class AssociationController {
   void refresh_multi(EpochReport* rep);
   /// Translates this epoch's applied slot deltas into kconn dirty marks
   /// (dirty APs whose stream plan may change + dirty slots whose served-set
-  /// must be re-derived). Runs during drain() while the PRE-commit state_
-  /// / compact_sc_ / row_slot_ and the post-epoch `next` / `new_slot_ap`
-  /// coexist, because old heard-sets come from the old projection. A
+  /// must be re-derived). Runs during drain() while the PRE-commit state_ /
+  /// slot_ap_ and the post-epoch `next` / `new_slot_ap` coexist, because old
+  /// heard-sets come from the old state. A
   /// session-rate change sets kconn_rate_changed_ (cold rebuild: rates feed
   /// every stream's cost and advertised floor).
   void kconn_mark_dirty(const NetworkState& next,
@@ -283,6 +301,11 @@ class AssociationController {
   wlan::Scenario compact_sc_;
   std::vector<int> row_slot_;
   wlan::LoadReport loads_;
+  // Slots that want service but have no AP, ascending (dirty-region input).
+  std::vector<int> unserved_;
+  // Reused per-epoch buffers: the spliced row map and the candidate loads.
+  std::vector<int> row_slot_spare_;
+  wlan::LoadReport loads_next_;
   double baseline_load_ = 0.0;
   int epochs_since_refresh_ = 0;
   int epoch_index_ = 0;
@@ -290,8 +313,7 @@ class AssociationController {
   Telemetry tele_;
   util::Rng rng_;
 
-  // Slot-space engine + reusable solve/repair scratch (steady-state epochs
-  // allocate nothing beyond what the scenario projection needs).
+  // Slot-space engine + solve/repair scratch, reused across epochs.
   core::CoverageEngine engine_;
   core::EngineStats engine_stats_synced_;
   core::SolveWorkspace solve_ws_;

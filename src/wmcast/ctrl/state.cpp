@@ -162,45 +162,56 @@ wlan::Association compact_association(const std::vector<int>& slot_ap,
   return out;
 }
 
+namespace {
+
+/// Sessions whose stream rate moved across the drain: every subscriber's
+/// load contribution changes at whatever AP serves it.
+std::vector<char> changed_sessions(const NetworkState& before, const NetworkState& after) {
+  std::vector<char> out(static_cast<size_t>(after.n_sessions()), 0);
+  for (int s = 0; s < after.n_sessions(); ++s) {
+    if (s >= before.n_sessions() || before.session_rate(s) != after.session_rate(s)) {
+      out[static_cast<size_t>(s)] = 1;
+    }
+  }
+  return out;
+}
+
+/// Whether slot `i`'s record changed across the drain — *as the optimizer
+/// sees it*. 802.11 rate tables are step functions, so a short walk
+/// frequently changes no link rate at all; such a move leaves the user's
+/// candidate-AP set, its rates, and every group bottleneck exactly where they
+/// were, and re-deciding it would only manufacture signaling.
+bool record_changed(const NetworkState& before, const NetworkState& after, int i) {
+  const UserSlot absent{};
+  const UserSlot& b = i < before.n_slots() ? before.slot(i) : absent;
+  const UserSlot& a = after.slot(i);
+  if (b == a) return false;
+  if (i < before.n_slots() && b.present == a.present && b.subscribed == a.subscribed &&
+      b.session == a.session) {
+    // Only APs within coverage range of the old or the new position can see
+    // a rate change (everything else is 0 on both sides), so the grid
+    // queries around both positions bound the check at O(k), not O(n_aps).
+    bool rate_moved = false;
+    const auto check = [&](int ap) {
+      if (!rate_moved) rate_moved = before.link_rate(ap, i) != after.link_rate(ap, i);
+    };
+    after.for_each_ap_near(b.pos, check);
+    after.for_each_ap_near(a.pos, check);
+    return rate_moved;  // false: a pure move inside the same rate steps
+  }
+  return true;
+}
+
+}  // namespace
+
 std::vector<int> compute_dirty_slots(const NetworkState& before,
                                      const NetworkState& after,
                                      const std::vector<int>& slot_ap) {
   const int n_after = after.n_slots();
-  const UserSlot absent{};
-
-  // Sessions whose stream rate moved: every subscriber's load contribution
-  // changes at whatever AP serves it.
-  std::vector<char> session_changed(static_cast<size_t>(after.n_sessions()), 0);
-  for (int s = 0; s < after.n_sessions(); ++s) {
-    if (s >= before.n_sessions() || before.session_rate(s) != after.session_rate(s)) {
-      session_changed[static_cast<size_t>(s)] = 1;
-    }
-  }
-
-  // Slots whose own record changed across the drain — *as the optimizer sees
-  // it*. 802.11 rate tables are step functions, so a short walk frequently
-  // changes no link rate at all; such a move leaves the user's candidate-AP
-  // set, its rates, and every group bottleneck exactly where they were, and
-  // re-deciding it would only manufacture signaling.
+  const std::vector<char> session_changed = changed_sessions(before, after);
   std::vector<char> changed(static_cast<size_t>(n_after), 0);
   for (int i = 0; i < n_after; ++i) {
-    const UserSlot& b = i < before.n_slots() ? before.slot(i) : absent;
-    const UserSlot& a = after.slot(i);
-    if (b == a) continue;
-    if (i < before.n_slots() && b.present == a.present &&
-        b.subscribed == a.subscribed && b.session == a.session) {
-      // Only APs within coverage range of the old or the new position can see
-      // a rate change (everything else is 0 on both sides), so the grid
-      // queries around both positions bound the check at O(k), not O(n_aps).
-      bool rate_moved = false;
-      const auto check = [&](int ap) {
-        if (!rate_moved) rate_moved = before.link_rate(ap, i) != after.link_rate(ap, i);
-      };
-      after.for_each_ap_near(b.pos, check);
-      after.for_each_ap_near(a.pos, check);
-      if (!rate_moved) continue;  // pure move inside the same rate steps
-    }
-    changed[static_cast<size_t>(i)] = 1;
+    changed[static_cast<size_t>(i)] = record_changed(before, after, i) ? 1 : 0;
   }
 
   std::vector<char> dirty(static_cast<size_t>(n_after), 0);
@@ -254,6 +265,84 @@ std::vector<int> compute_dirty_slots(const NetworkState& before,
   for (int i = 0; i < n_after; ++i) {
     if (dirty[static_cast<size_t>(i)]) out.push_back(i);
   }
+  return out;
+}
+
+std::vector<int> dirty_slots_from_delta(const NetworkState& before,
+                                        const NetworkState& after,
+                                        const std::vector<int>& slot_ap,
+                                        const std::vector<int>& touched,
+                                        const std::vector<int>& unserved,
+                                        const wlan::Scenario& projection,
+                                        const std::vector<int>& row_slot) {
+  const auto ap_of = [&](int i) {
+    return static_cast<size_t>(i) < slot_ap.size() ? slot_ap[static_cast<size_t>(i)]
+                                                    : wlan::kNoAp;
+  };
+  std::vector<int> changed;  // ascending, like `touched`
+  for (const int i : touched) {
+    if (record_changed(before, after, i)) changed.push_back(i);
+  }
+  const auto is_changed = [&](int i) {
+    return std::binary_search(changed.begin(), changed.end(), i);
+  };
+
+  std::vector<int> out;
+  for (const int i : touched) {
+    if (after.slot(i).wants_service() && (is_changed(i) || ap_of(i) == wlan::kNoAp)) {
+      out.push_back(i);
+    }
+  }
+  for (const int i : unserved) {
+    if (after.slot(i).wants_service()) out.push_back(i);
+  }
+  const std::vector<char> session_changed = changed_sessions(before, after);
+  if (std::find(session_changed.begin(), session_changed.end(), 1) != session_changed.end()) {
+    for (int i = 0; i < after.n_slots(); ++i) {
+      const auto& a = after.slot(i);
+      if (a.wants_service() && session_changed[static_cast<size_t>(a.session)]) {
+        out.push_back(i);
+      }
+    }
+  }
+
+  // Bottleneck rule, restricted to the groups a changed member left: their
+  // members are the projection's transpose row of the group's AP, filtered
+  // by association and session.
+  std::vector<std::pair<int, int>> groups;
+  for (const int i : changed) {
+    if (i >= before.n_slots() || !before.slot(i).wants_service()) continue;
+    const int ap = ap_of(i);
+    if (ap != wlan::kNoAp) groups.emplace_back(ap, before.slot(i).session);
+  }
+  std::sort(groups.begin(), groups.end());
+  groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
+  for (const auto& [ap, session] : groups) {
+    const wlan::IndexSpan rows = projection.users_of_ap(ap);
+    const double* rates = projection.rates_of_ap(ap);
+    const auto is_member = [&](int j) {
+      return ap_of(j) == ap && before.slot(j).session == session;
+    };
+    double old_min = std::numeric_limits<double>::infinity();
+    double new_min = std::numeric_limits<double>::infinity();
+    for (size_t m = 0; m < rows.size(); ++m) {
+      const int j = row_slot[static_cast<size_t>(rows[m])];
+      if (!is_member(j)) continue;
+      old_min = std::min(old_min, rates[m]);
+      // An unchanged member kept its record or every rate it had.
+      if (!is_changed(j)) new_min = std::min(new_min, rates[m]);
+    }
+    if (new_min == old_min) continue;
+    for (size_t m = 0; m < rows.size(); ++m) {
+      const int j = row_slot[static_cast<size_t>(rows[m])];
+      if (is_member(j) && !is_changed(j) && after.slot(j).wants_service()) {
+        out.push_back(j);
+      }
+    }
+  }
+
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

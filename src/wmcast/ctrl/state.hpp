@@ -1,7 +1,8 @@
-// Mutable network state behind the association controller. The solver-side
-// wlan::Scenario is immutable by design; NetworkState is the long-lived
-// record the controller patches as events arrive, projected per epoch into a
-// *compact* Scenario containing only the users that currently want service.
+// Mutable network state behind the association controller. The solvers see
+// a wlan::Scenario; NetworkState is the long-lived record the controller
+// patches as events arrive. Its *compact* projection —
+// a Scenario containing only the users that currently want service — is
+// kept by the controller and patched in place each epoch.
 //
 // Identifier spaces:
 //  * slot  — stable controller-side user id (grows on joins, never shrinks);
@@ -79,8 +80,12 @@ class NetworkState {
   /// user == n_slots() extends the slot space.
   void apply(const Event& e);
 
-  /// Projects the compact scenario over slots with wants_service().
-  /// `row_slot` (optional out) receives the row -> slot map.
+  /// Projects the compact scenario over slots with wants_service(), built
+  /// cold with Scenario::from_geometry: rows ascend by slot. `row_slot`
+  /// (optional out) receives the row -> slot map. The controller keeps its
+  /// projection equal to this by patching it in place each epoch
+  /// (DESIGN.md §17); this cold build is the reference the tests, the chaos
+  /// oracles and the benchmark compare that patch against.
   wlan::Scenario to_scenario(std::vector<int>* row_slot = nullptr) const;
 
   friend bool operator==(const NetworkState&, const NetworkState&) = default;
@@ -115,8 +120,29 @@ wlan::Association compact_association(const std::vector<int>& slot_ap,
 ///    contribution moved everywhere);
 ///  * current members of any (AP, session) multicast group whose bottleneck
 ///    transmission rate moved because a directly-dirty member left it.
+/// This is the reference form: it diffs every slot and groups every served
+/// slot. The controller runs dirty_slots_from_delta instead.
 std::vector<int> compute_dirty_slots(const NetworkState& before,
                                      const NetworkState& after,
                                      const std::vector<int>& slot_ap);
+
+/// compute_dirty_slots in O(batch · local density) for a controller that
+/// keeps its committed projection: the same slots, in the same order.
+///  * `touched` — the slots the batch's applied events named, ascending (a
+///    superset of the slots whose record differs between before and after);
+///  * `unserved` — the slots that want service in `before` but have no AP in
+///    `slot_ap`, ascending;
+///  * `projection`/`row_slot` — before.to_scenario() and its row map. The
+///    bottleneck rule walks only the per-AP transpose rows of the groups a
+///    changed member left.
+/// A session-rate change still visits every slot (all its subscribers are
+/// dirty).
+std::vector<int> dirty_slots_from_delta(const NetworkState& before,
+                                        const NetworkState& after,
+                                        const std::vector<int>& slot_ap,
+                                        const std::vector<int>& touched,
+                                        const std::vector<int>& unserved,
+                                        const wlan::Scenario& projection,
+                                        const std::vector<int>& row_slot);
 
 }  // namespace wmcast::ctrl

@@ -40,6 +40,53 @@ void query_row(const GridIndex& grid, const std::vector<Point>& ap_pos,
   std::sort(out.begin(), out.end(), closer);
 }
 
+/// A block of entries moving from `src` to `dst` inside one array.
+struct Run {
+  int64_t src;
+  int64_t dst;
+  int64_t len;
+};
+
+/// Moves every run of `v` in place. Sources ascend and are disjoint, and so
+/// do destinations. A run moving right can only land on the sources of later
+/// right-moving runs, and a run moving left only on those of earlier
+/// left-moving runs: the right-movers go last to first, then the left-movers
+/// first to last.
+template <typename T>
+void move_runs(std::vector<T>& v, const std::vector<Run>& runs) {
+  for (auto it = runs.rbegin(); it != runs.rend(); ++it) {
+    if (it->dst > it->src) {
+      std::copy_backward(v.begin() + it->src, v.begin() + it->src + it->len,
+                         v.begin() + it->dst + it->len);
+    }
+  }
+  for (const Run& r : runs) {
+    if (r.dst < r.src) {
+      std::copy(v.begin() + r.src, v.begin() + r.src + r.len, v.begin() + r.dst);
+    }
+  }
+}
+
+/// move_runs that also maps every moved entry through `f` — runs that stay
+/// put included.
+template <typename T, typename F>
+void move_runs(std::vector<T>& v, const std::vector<Run>& runs, F f) {
+  for (auto it = runs.rbegin(); it != runs.rend(); ++it) {
+    if (it->dst >= it->src) {
+      for (int64_t i = it->len - 1; i >= 0; --i) {
+        v[static_cast<size_t>(it->dst + i)] = f(v[static_cast<size_t>(it->src + i)]);
+      }
+    }
+  }
+  for (const Run& r : runs) {
+    if (r.dst < r.src) {
+      for (int64_t i = 0; i < r.len; ++i) {
+        v[static_cast<size_t>(r.dst + i)] = f(v[static_cast<size_t>(r.src + i)]);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 Scenario Scenario::from_geometry(std::vector<Point> ap_pos, std::vector<Point> user_pos,
@@ -346,6 +393,10 @@ void Scenario::finalize_stats() {
       ++n_coverable_;
     }
   }
+  update_basic_rate();
+}
+
+void Scenario::update_basic_rate() {
   basic_rate_ = 0.0;
   for (size_t i = 0; i < rate_levels_.size(); ++i) {
     if (rate_level_count_[i] > 0) {
@@ -382,155 +433,349 @@ Scenario Scenario::with_session_rates(std::vector<double> session_rate_mbps) con
   return sc;
 }
 
+std::string first_difference(const Scenario& a, const Scenario& b) {
+  const auto same = [](const auto& x, const auto& y) { return x == y; };
+  const std::pair<const char*, bool> fields[] = {
+      {"n_aps", a.n_aps_ == b.n_aps_},
+      {"n_users", a.n_users_ == b.n_users_},
+      {"user_session", same(a.user_session_, b.user_session_)},
+      {"session_rate", same(a.session_rate_, b.session_rate_)},
+      {"load_budget", a.load_budget_ == b.load_budget_},
+      {"basic_rate", a.basic_rate_ == b.basic_rate_},
+      {"n_coverable", a.n_coverable_ == b.n_coverable_},
+      {"user_row", same(a.user_row_, b.user_row_)},
+      {"nbr_ap", same(a.nbr_ap_, b.nbr_ap_)},
+      {"nbr_rate", same(a.nbr_rate_, b.nbr_rate_)},
+      {"nbr_by_ap", same(a.nbr_by_ap_, b.nbr_by_ap_)},
+      {"ap_row", same(a.ap_row_, b.ap_row_)},
+      {"ap_user", same(a.ap_user_, b.ap_user_)},
+      {"ap_user_rate", same(a.ap_user_rate_, b.ap_user_rate_)},
+      {"strongest_ap", same(a.strongest_ap_, b.strongest_ap_)},
+      {"rate_levels", same(a.rate_levels_, b.rate_levels_)},
+      {"rate_level_counts", same(a.rate_level_count_, b.rate_level_count_)},
+      {"ap_positions", same(a.ap_pos_, b.ap_pos_)},
+      {"user_positions", same(a.user_pos_, b.user_pos_)},
+      {"rate_table", same(a.table_, b.table_)},
+  };
+  for (const auto& [name, equal] : fields) {
+    if (!equal) return name;
+  }
+  return "";
+}
+
 Scenario Scenario::apply_delta(const ScenarioDelta& delta,
                                std::vector<int>* dirty_aps) const {
-  util::require(has_geometry() && table_.has_value(),
-                "apply_delta: needs a geometric scenario");
+  Scenario out = *this;
+  out.patch(delta, dirty_aps);
+  return out;
+}
 
-  // Metadata and untouched caches carry over; the CSR arrays are rebuilt
-  // below (copied row-by-row, so the big copy happens exactly once).
-  Scenario out;
-  out.n_aps_ = n_aps_;
-  out.n_users_ = n_users_;
-  out.user_session_ = user_session_;
-  out.session_rate_ = session_rate_;
-  out.load_budget_ = load_budget_;
-  out.rate_levels_ = rate_levels_;
-  out.rate_level_count_ = rate_level_count_;
-  out.ap_pos_ = ap_pos_;
-  out.user_pos_ = user_pos_;
-  out.table_ = table_;
-  out.grid_ = grid_;
-  out.strongest_ap_ = strongest_ap_;
+void Scenario::set_session_rate(int s, double rate_mbps) {
+  util::require(s >= 0 && s < n_sessions(), "set_session_rate: unknown session");
+  util::require(std::isfinite(rate_mbps) && rate_mbps > 0.0,
+                "Scenario: session rates must be positive");
+  session_rate_[static_cast<size_t>(s)] = rate_mbps;
+}
 
-  std::vector<char> ap_mark(static_cast<size_t>(n_aps_), 0);
-  std::vector<int> dirty;
-  const auto mark = [&](int a) {
-    if (!ap_mark[static_cast<size_t>(a)]) {
-      ap_mark[static_cast<size_t>(a)] = 1;
-      dirty.push_back(a);
-    }
+int Scenario::patch(const ScenarioDelta& delta, std::vector<int>* dirty_aps) {
+  util::require(has_geometry() && table_.has_value(), "patch: needs a geometric scenario");
+  const RateTable& table = *table_;
+  const double radius = table.range_m();
+  const int n_steps = static_cast<int>(table.steps().size());
+  const auto level_of = [&](int step) { return static_cast<size_t>(n_steps - 1 - step); };
+  const int n_old = n_users_;
+
+  const auto& erased = delta.erased;
+  for (size_t i = 0; i < erased.size(); ++i) {
+    util::require(erased[i] >= 0 && erased[i] < n_old, "patch: erase of unknown user");
+    util::require(i == 0 || erased[i - 1] < erased[i], "patch: erased users must ascend");
+  }
+  const auto is_erased = [&](int u) {
+    return std::binary_search(erased.begin(), erased.end(), u);
   };
+  const auto& inserted = delta.inserted;
+  for (size_t i = 0; i < inserted.size(); ++i) {
+    const auto& in = inserted[i];
+    util::require(in.before >= 0 && in.before <= n_old, "patch: insert point out of range");
+    util::require(i == 0 || inserted[i - 1].before <= in.before,
+                  "patch: inserts must ascend");
+    util::require(in.session >= 0 && in.session < n_sessions(),
+                  "patch: insert of unknown session");
+    util::require(std::isfinite(in.pos.x) && std::isfinite(in.pos.y),
+                  "patch: non-finite position");
+  }
+  std::vector<std::pair<int, Point>> moved = delta.moved;
+  for (const auto& [u, p] : moved) {
+    util::require(u >= 0 && u < n_old, "patch: move of unknown user");
+    util::require(std::isfinite(p.x) && std::isfinite(p.y), "patch: non-finite position");
+    util::require(!is_erased(u), "patch: move of an erased user");
+  }
+  for (const auto& [u, s] : delta.rezapped) {
+    util::require(u >= 0 && u < n_old, "patch: rezap of unknown user");
+    util::require(s >= 0 && s < n_sessions(), "patch: rezap to unknown session");
+    util::require(!is_erased(u), "patch: rezap of an erased user");
+  }
+
+  // Every AP whose member row or (ap, session) membership may move (sorted
+  // and deduplicated below). These are also the transpose rows to splice.
+  std::vector<int> dirty;
 
   // Session switches keep the row but change every (ap, session) group the
-  // user belongs to on both sides of the switch.
+  // user belongs to.
   for (const auto& [u, s] : delta.rezapped) {
-    util::require(u >= 0 && u < n_users_, "apply_delta: rezap of unknown user");
-    util::require(s >= 0 && s < n_sessions(), "apply_delta: rezap to unknown session");
-    if (out.user_session_[static_cast<size_t>(u)] == s) continue;
-    out.user_session_[static_cast<size_t>(u)] = s;
-    for (const int a : aps_of_user(u)) mark(a);
+    if (user_session_[static_cast<size_t>(u)] == s) continue;
+    user_session_[static_cast<size_t>(u)] = s;
+    for (const int a : aps_of_user(u)) dirty.push_back(a);
   }
 
   // Moves: last position wins per user.
-  std::vector<char> moved(static_cast<size_t>(n_users_), 0);
-  std::vector<int> moved_users;
-  for (const auto& [u, p] : delta.moved) {
-    util::require(u >= 0 && u < n_users_, "apply_delta: move of unknown user");
-    util::require(std::isfinite(p.x) && std::isfinite(p.y),
-                  "apply_delta: non-finite position");
-    out.user_pos_[static_cast<size_t>(u)] = p;
-    if (!moved[static_cast<size_t>(u)]) {
-      moved[static_cast<size_t>(u)] = 1;
-      moved_users.push_back(u);
+  std::stable_sort(moved.begin(), moved.end(),
+                   [](const auto& x, const auto& y) { return x.first < y.first; });
+  size_t n_moved = 0;
+  for (size_t i = 0; i < moved.size(); ++i) {
+    if (i + 1 == moved.size() || moved[i + 1].first != moved[i].first) {
+      moved[n_moved++] = moved[i];
     }
   }
-  std::sort(moved_users.begin(), moved_users.end());
+  moved.resize(n_moved);
 
-  if (moved_users.empty()) {
-    out.user_row_ = user_row_;
-    out.nbr_ap_ = nbr_ap_;
-    out.nbr_rate_ = nbr_rate_;
-    out.nbr_by_ap_ = nbr_by_ap_;
+  // Retire the old rows of moved and erased users, at their old positions.
+  const auto retire_row = [&](int u) {
+    const Point up = user_pos_[static_cast<size_t>(u)];
+    const int64_t b = user_row_[static_cast<size_t>(u)];
+    const int64_t e = user_row_[static_cast<size_t>(u) + 1];
+    for (int64_t pos = b; pos < e; ++pos) {
+      const int a = nbr_ap_[static_cast<size_t>(pos)];
+      dirty.push_back(a);
+      const int step =
+          table.step_index_for_distance(distance(ap_pos_[static_cast<size_t>(a)], up));
+      WMCAST_ASSERT(step >= 0, "patch: stored link out of range");
+      --rate_level_count_[level_of(step)];
+    }
+    if (e > b) --n_coverable_;
+  };
+  for (const auto& mv : moved) retire_row(mv.first);
+  for (const int u : erased) retire_row(u);
+
+  // Lay out the new rows in one merged walk over the edits: runs of kept rows
+  // (shifted in place below) alternate with fresh rows queried from the grid.
+  // Inserts land in front of old row `before`; a moved row replaces itself.
+  struct Fresh {
+    int row;
+    Point pos;
+    int session;
+    size_t lo;   // its candidates in `links`
+    size_t hi;
+    int64_t at;  // its first link position in the new CSR
+  };
+  std::vector<Fresh> fresh;
+  std::vector<Cand> links;
+  std::vector<Cand> cand;
+  std::vector<Run> row_runs;
+  std::vector<Run> link_runs;
+  int cur = 0;     // next old row not yet laid out
+  int row = 0;     // next new row
+  int64_t at = 0;  // next new link position
+  const auto keep_until = [&](int upto) {
+    if (upto <= cur) return;
+    const int64_t lo = user_row_[static_cast<size_t>(cur)];
+    const int64_t hi = user_row_[static_cast<size_t>(upto)];
+    row_runs.push_back({cur, row, upto - cur});
+    link_runs.push_back({lo, at, hi - lo});
+    row += upto - cur;
+    at += hi - lo;
+    cur = upto;
+  };
+  const auto add_fresh = [&](const Point& p, int session) {
+    query_row(grid_, ap_pos_, table, radius, p, cand);
+    fresh.push_back({row, p, session, links.size(), links.size() + cand.size(), at});
+    for (const Cand& c : cand) {
+      dirty.push_back(c.ap);
+      ++rate_level_count_[level_of(c.step)];
+    }
+    if (!cand.empty()) ++n_coverable_;
+    links.insert(links.end(), cand.begin(), cand.end());
+    ++row;
+    at += static_cast<int64_t>(cand.size());
+  };
+  constexpr int kEnd = std::numeric_limits<int>::max();
+  size_t im = 0;
+  size_t ie = 0;
+  size_t ii = 0;
+  while (true) {
+    const int next_ins = ii < inserted.size() ? inserted[ii].before : kEnd;
+    const int next_mv = im < moved.size() ? moved[im].first : kEnd;
+    const int next_er = ie < erased.size() ? erased[ie] : kEnd;
+    const int p = std::min({next_ins, next_mv, next_er});
+    if (p == kEnd) break;
+    keep_until(p);
+    if (next_ins == p) {
+      add_fresh(inserted[ii].pos, inserted[ii].session);
+      ++ii;
+    } else if (next_mv == p) {
+      add_fresh(moved[im].second, user_session_[static_cast<size_t>(p)]);
+      ++im;
+      cur = p + 1;
+    } else {
+      ++ie;
+      cur = p + 1;
+    }
+  }
+  keep_until(n_old);
+  const int n_new = row;
+  const int64_t n_links_new = at;
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+
+  // Old row -> new row of every kept row; -1 for the retired ones.
+  std::vector<int> new_row(static_cast<size_t>(n_old), -1);
+  for (const Run& r : row_runs) {
+    std::iota(new_row.begin() + r.src, new_row.begin() + r.src + r.len,
+              static_cast<int>(r.dst));
+  }
+
+  // Transpose, dirty APs: survivors renumbered, merged with the fresh rows'
+  // links (both lists ascend by new row).
+  std::vector<std::pair<int, size_t>> adds;  // (ap, link), row-ascending per AP
+  std::vector<int> link_row(links.size());
+  for (const Fresh& f : fresh) {
+    for (size_t i = f.lo; i < f.hi; ++i) {
+      adds.emplace_back(links[i].ap, i);
+      link_row[i] = f.row;
+    }
+  }
+  std::stable_sort(adds.begin(), adds.end(),
+                   [](const auto& x, const auto& y) { return x.first < y.first; });
+  std::vector<int64_t> seg_len(dirty.size(), 0);
+  std::vector<int> seg_user;
+  std::vector<double> seg_rate;
+  size_t ia = 0;
+  for (size_t d = 0; d < dirty.size(); ++d) {
+    const int a = dirty[d];
+    while (ia < adds.size() && adds[ia].first < a) ++ia;
+    const size_t before = seg_user.size();
+    int64_t m = ap_row_[static_cast<size_t>(a)];
+    const int64_t e = ap_row_[static_cast<size_t>(a) + 1];
+    while (true) {
+      while (m < e && new_row[static_cast<size_t>(ap_user_[static_cast<size_t>(m)])] < 0) ++m;
+      const bool has_add = ia < adds.size() && adds[ia].first == a;
+      if (m == e && !has_add) break;
+      const int kept = m < e ? new_row[static_cast<size_t>(ap_user_[static_cast<size_t>(m)])] : 0;
+      if (has_add && (m == e || link_row[adds[ia].second] < kept)) {
+        seg_user.push_back(link_row[adds[ia].second]);
+        seg_rate.push_back(
+            table.steps()[static_cast<size_t>(links[adds[ia].second].step)].rate_mbps);
+        ++ia;
+      } else {
+        seg_user.push_back(kept);
+        seg_rate.push_back(ap_user_rate_[static_cast<size_t>(m)]);
+        ++m;
+      }
+    }
+    seg_len[d] = static_cast<int64_t>(seg_user.size() - before);
+  }
+
+  // Transpose, every other AP: the same members, moved as runs into their
+  // new offsets and renumbered on the way when rows shifted.
+  std::vector<Run> ap_runs;
+  std::vector<int64_t> new_ap_row(static_cast<size_t>(n_aps_) + 1, 0);
+  size_t d = 0;
+  for (int a = 0; a < n_aps_; ++a) {
+    const int64_t b = ap_row_[static_cast<size_t>(a)];
+    const int64_t e = ap_row_[static_cast<size_t>(a) + 1];
+    const int64_t dst = new_ap_row[static_cast<size_t>(a)];
+    if (d < dirty.size() && dirty[d] == a) {
+      new_ap_row[static_cast<size_t>(a) + 1] = dst + seg_len[d++];
+      continue;
+    }
+    new_ap_row[static_cast<size_t>(a) + 1] = dst + (e - b);
+    if (!ap_runs.empty() && ap_runs.back().src + ap_runs.back().len == b &&
+        ap_runs.back().dst + ap_runs.back().len == dst) {
+      ap_runs.back().len += e - b;
+    } else if (e > b) {
+      ap_runs.push_back({b, dst, e - b});
+    }
+  }
+  const auto grow = [](auto& v, int64_t n) {
+    if (static_cast<int64_t>(v.size()) < n) v.resize(static_cast<size_t>(n));
+  };
+  grow(ap_user_, n_links_new);
+  grow(ap_user_rate_, n_links_new);
+  if (std::any_of(row_runs.begin(), row_runs.end(),
+                  [](const Run& r) { return r.dst != r.src; })) {
+    move_runs(ap_user_, ap_runs, [&](int u) { return new_row[static_cast<size_t>(u)]; });
   } else {
-    const RateTable& table = *table_;
-    const double radius = table.range_m();
-    const int n_steps = static_cast<int>(table.steps().size());
-    const auto level_of = [&](int step) { return static_cast<size_t>(n_steps - 1 - step); };
+    move_runs(ap_user_, ap_runs);
+  }
+  move_runs(ap_user_rate_, ap_runs);
+  int64_t off = 0;
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    const auto dst = static_cast<size_t>(new_ap_row[static_cast<size_t>(dirty[i])]);
+    std::copy_n(seg_user.begin() + off, seg_len[i], ap_user_.begin() + dst);
+    std::copy_n(seg_rate.begin() + off, seg_len[i], ap_user_rate_.begin() + dst);
+    off += seg_len[i];
+  }
+  ap_user_.resize(static_cast<size_t>(n_links_new));
+  ap_user_rate_.resize(static_cast<size_t>(n_links_new));
+  ap_row_ = std::move(new_ap_row);
 
-    // Fresh rows for the movers (grid re-query at the new position); old and
-    // new candidate APs alike see their member set change.
-    std::vector<int64_t> new_start(moved_users.size() + 1, 0);
-    std::vector<Cand> new_rows;
-    std::vector<Cand> cand;
-    for (size_t m = 0; m < moved_users.size(); ++m) {
-      const int u = moved_users[m];
-      for (int64_t pos = user_row_[static_cast<size_t>(u)];
-           pos < user_row_[static_cast<size_t>(u) + 1]; ++pos) {
-        mark(nbr_ap_[static_cast<size_t>(pos)]);
-        const int step = table.step_index_for_distance(
-            distance(ap_pos_[static_cast<size_t>(nbr_ap_[static_cast<size_t>(pos)])],
-                     user_pos_[static_cast<size_t>(u)]));
-        WMCAST_ASSERT(step >= 0, "apply_delta: stored link out of range");
-        --out.rate_level_count_[level_of(step)];
-      }
-      query_row(grid_, ap_pos_, table, radius, out.user_pos_[static_cast<size_t>(u)],
-                cand);
-      for (const Cand& c : cand) {
-        mark(c.ap);
-        ++out.rate_level_count_[level_of(c.step)];
-        new_rows.push_back(c);
-      }
-      new_start[m + 1] = static_cast<int64_t>(new_rows.size());
-    }
-
-    // Stitch the new CSR: movers get their fresh rows, everyone else's row
-    // (including its row-local search index) is copied verbatim.
-    std::vector<int32_t> moved_idx(static_cast<size_t>(n_users_), -1);
-    for (size_t m = 0; m < moved_users.size(); ++m) {
-      moved_idx[static_cast<size_t>(moved_users[m])] = static_cast<int32_t>(m);
-    }
-    out.user_row_.assign(static_cast<size_t>(n_users_) + 1, 0);
-    for (int u = 0; u < n_users_; ++u) {
-      const int32_t m = moved_idx[static_cast<size_t>(u)];
-      const int64_t len = m >= 0 ? new_start[static_cast<size_t>(m) + 1] -
-                                       new_start[static_cast<size_t>(m)]
-                                 : user_row_[static_cast<size_t>(u) + 1] -
-                                       user_row_[static_cast<size_t>(u)];
-      out.user_row_[static_cast<size_t>(u) + 1] =
-          out.user_row_[static_cast<size_t>(u)] + len;
-    }
-    const auto n_links = static_cast<size_t>(out.user_row_[static_cast<size_t>(n_users_)]);
-    out.nbr_ap_.resize(n_links);
-    out.nbr_rate_.resize(n_links);
-    out.nbr_by_ap_.resize(n_links);
-    for (int u = 0; u < n_users_; ++u) {
-      const int64_t base = out.user_row_[static_cast<size_t>(u)];
-      const int32_t m = moved_idx[static_cast<size_t>(u)];
-      if (m < 0) {
-        const int64_t old_base = user_row_[static_cast<size_t>(u)];
-        const int64_t len = user_row_[static_cast<size_t>(u) + 1] - old_base;
-        std::copy_n(nbr_ap_.begin() + old_base, len, out.nbr_ap_.begin() + base);
-        std::copy_n(nbr_rate_.begin() + old_base, len, out.nbr_rate_.begin() + base);
-        std::copy_n(nbr_by_ap_.begin() + old_base, len, out.nbr_by_ap_.begin() + base);
-        continue;
-      }
-      const int64_t lo = new_start[static_cast<size_t>(m)];
-      const int64_t len = new_start[static_cast<size_t>(m) + 1] - lo;
-      for (int64_t i = 0; i < len; ++i) {
-        const Cand& c = new_rows[static_cast<size_t>(lo + i)];
-        out.nbr_ap_[static_cast<size_t>(base + i)] = c.ap;
-        out.nbr_rate_[static_cast<size_t>(base + i)] =
-            table.steps()[static_cast<size_t>(c.step)].rate_mbps;
-      }
-      int* by = out.nbr_by_ap_.data() + base;
-      std::iota(by, by + len, 0);
-      std::sort(by, by + len, [&](int x, int y) {
-        return out.nbr_ap_[static_cast<size_t>(base + x)] <
-               out.nbr_ap_[static_cast<size_t>(base + y)];
-      });
-      out.strongest_ap_[static_cast<size_t>(u)] =
-          len > 0 ? out.nbr_ap_[static_cast<size_t>(base)] : kNoAp;
+  // Per-row arrays: shift the kept runs, then write the fresh rows. Offsets
+  // move with their rows and by their run's link shift.
+  const int n_max = std::max(n_old, n_new);
+  grow(user_session_, n_max);
+  grow(user_pos_, n_max);
+  grow(strongest_ap_, n_max);
+  grow(user_row_, n_max + 1);
+  move_runs(user_session_, row_runs);
+  move_runs(user_pos_, row_runs);
+  move_runs(strongest_ap_, row_runs);
+  move_runs(user_row_, row_runs);
+  for (size_t i = 0; i < row_runs.size(); ++i) {
+    const int64_t shift = link_runs[i].dst - link_runs[i].src;
+    if (shift == 0) continue;
+    const auto b = static_cast<size_t>(row_runs[i].dst);
+    for (size_t r = b; r < b + static_cast<size_t>(row_runs[i].len); ++r) {
+      user_row_[r] += shift;
     }
   }
-
-  out.build_transpose();
-  out.finalize_stats();
-  if (dirty_aps != nullptr) {
-    std::sort(dirty.begin(), dirty.end());
-    *dirty_aps = std::move(dirty);
+  grow(nbr_ap_, n_links_new);
+  grow(nbr_rate_, n_links_new);
+  grow(nbr_by_ap_, n_links_new);
+  move_runs(nbr_ap_, link_runs);
+  move_runs(nbr_rate_, link_runs);
+  move_runs(nbr_by_ap_, link_runs);
+  for (const Fresh& f : fresh) {
+    const auto r = static_cast<size_t>(f.row);
+    const auto len = static_cast<int64_t>(f.hi - f.lo);
+    user_session_[r] = f.session;
+    user_pos_[r] = f.pos;
+    user_row_[r] = f.at;
+    for (int64_t i = 0; i < len; ++i) {
+      const Cand& c = links[f.lo + static_cast<size_t>(i)];
+      nbr_ap_[static_cast<size_t>(f.at + i)] = c.ap;
+      nbr_rate_[static_cast<size_t>(f.at + i)] =
+          table.steps()[static_cast<size_t>(c.step)].rate_mbps;
+    }
+    int* by = nbr_by_ap_.data() + f.at;
+    std::iota(by, by + len, 0);
+    std::sort(by, by + len, [&](int x, int y) {
+      return nbr_ap_[static_cast<size_t>(f.at + x)] < nbr_ap_[static_cast<size_t>(f.at + y)];
+    });
+    strongest_ap_[r] = len > 0 ? nbr_ap_[static_cast<size_t>(f.at)] : kNoAp;
   }
-  return out;
+  user_row_[static_cast<size_t>(n_new)] = n_links_new;
+  user_session_.resize(static_cast<size_t>(n_new));
+  user_pos_.resize(static_cast<size_t>(n_new));
+  strongest_ap_.resize(static_cast<size_t>(n_new));
+  user_row_.resize(static_cast<size_t>(n_new) + 1);
+  nbr_ap_.resize(static_cast<size_t>(n_links_new));
+  nbr_rate_.resize(static_cast<size_t>(n_links_new));
+  nbr_by_ap_.resize(static_cast<size_t>(n_links_new));
+  n_users_ = n_new;
+  update_basic_rate();
+
+  if (dirty_aps != nullptr) *dirty_aps = std::move(dirty);
+  return static_cast<int>(fresh.size());
 }
 
 }  // namespace wmcast::wlan

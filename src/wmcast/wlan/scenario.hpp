@@ -72,18 +72,30 @@ class IndexSpan {
   size_t size_ = 0;
 };
 
-/// A batch of user-level changes for incremental rebuilds (mobility.cpp):
-/// moved users get fresh candidate rows from the grid, rezapped users keep
-/// their rows but change session. Duplicate user entries apply in order
-/// (last wins for positions).
+/// A batch of user-level changes for incremental rebuilds. Every id is a
+/// user id BEFORE the batch. Moved users get fresh candidate rows from the
+/// grid; rezapped users keep their rows but change session (duplicates apply
+/// in order, last position wins). Erased users leave the instance and
+/// inserted users join it just before user `before` (n_users() appends), so
+/// the surviving users keep their relative order and ids shift past every
+/// erase and insert point. The online controller patches its persistent
+/// compact projection with one delta per epoch (ctrl/controller.cpp).
 struct ScenarioDelta {
+  struct Insert {
+    int before = 0;  // pre-batch id the new user lands in front of
+    Point pos{};
+    int session = 0;
+  };
   std::vector<std::pair<int, Point>> moved;   // user -> new position
   std::vector<std::pair<int, int>> rezapped;  // user -> new session
+  std::vector<int> erased;                    // ascending, distinct
+  std::vector<Insert> inserted;               // ascending by `before`
 };
 
-/// Immutable problem instance. Invariants established at construction:
-/// rates non-negative (0 = out of range), each user requests a valid session,
-/// session stream rates positive, budget in (0, 1].
+/// Problem instance, immutable to the solvers (only patch and
+/// set_session_rate edit it in place). Invariants established at
+/// construction: rates non-negative (0 = out of range), each user requests a
+/// valid session, session stream rates positive, budget in (0, 1].
 class Scenario {
  public:
   /// Geometric construction: link rate = table.rate_for_distance(|ap-user|).
@@ -211,13 +223,27 @@ class Scenario {
   Scenario with_session_rates(std::vector<double> session_rate_mbps) const;
 
   /// Incremental rebuild (geometric instances only): returns a copy with the
-  /// delta applied. Moved users' candidate rows are re-queried from the grid;
-  /// everyone else's rows are copied verbatim, so the result is identical to
-  /// a full from_geometry at the new positions. `dirty_aps` (optional out)
-  /// receives the ascending ids of every AP whose candidate set, member
-  /// rates, or (ap, session) membership may have changed — exactly the
-  /// groups a ctrl-style dirty-region repair must re-project.
+  /// delta applied (see patch).
   Scenario apply_delta(const ScenarioDelta& delta, std::vector<int>* dirty_aps) const;
+
+  /// In-place form of apply_delta (geometric instances only). Only the moved
+  /// and inserted users' rows are queried from the grid; every other row,
+  /// its search index and its transpose entries are kept, shifted and
+  /// renumbered in place, so the buffers are reused and the result is
+  /// identical to a full from_geometry over the new users. `dirty_aps`
+  /// (optional out) receives the ascending ids of every AP whose candidate
+  /// set, member rates or (ap, session) membership may have changed —
+  /// exactly the groups a ctrl-style dirty-region repair must re-project.
+  /// Returns the number of rows queried from the grid.
+  int patch(const ScenarioDelta& delta, std::vector<int>* dirty_aps = nullptr);
+
+  /// Changes session `s`'s stream rate in place.
+  void set_session_rate(int s, double rate_mbps);
+
+  /// "" when `a` and `b` hold identical instances — every stored field,
+  /// row order and search index included — else the first field that
+  /// differs. The check behind incremental-equals-rebuilt oracles.
+  friend std::string first_difference(const Scenario& a, const Scenario& b);
 
  private:
   Scenario() = default;
@@ -226,6 +252,7 @@ class Scenario {
   void build_geometric_rows(util::ThreadPool* pool);
   void build_transpose();
   void finalize_stats();
+  void update_basic_rate();
 
   int n_aps_ = 0;
   int n_users_ = 0;
@@ -257,5 +284,7 @@ class Scenario {
   std::optional<RateTable> table_;  // set for geometric instances
   GridIndex grid_;                  // AP grid of geometric instances
 };
+
+std::string first_difference(const Scenario& a, const Scenario& b);
 
 }  // namespace wmcast::wlan

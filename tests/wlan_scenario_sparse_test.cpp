@@ -2,7 +2,7 @@
 // grid-indexed CSR build (Scenario::from_geometry) must be indistinguishable
 // from the dense-matrix reference build (from_geometry_dense) on random
 // geometric instances, at any thread count, and across incremental rebuilds
-// (apply_delta). Plus the grid's geometric edge cases: users on cell
+// (apply_delta and the in-place patch). Plus the grid's geometric edge cases: users on cell
 // boundaries, APs at exactly the maximum coverage range, users out of range
 // of everything.
 #include <gtest/gtest.h>
@@ -235,6 +235,95 @@ TEST(SparseScenarioTest, ApplyDeltaMatchesFullRebuild) {
       EXPECT_TRUE(is_dirty[static_cast<size_t>(a)]) << "ap " << a;
     }
   }
+}
+
+// In-place patches with every edit kind — erases, inserts (in the middle, at
+// the front, appended, several at one point), moves in and out of coverage,
+// rezaps — applied repeatedly to one instance must track a full rebuild over
+// the edited user list, field for field.
+TEST(SparseScenarioTest, PatchTracksFullRebuildAcrossEpochs) {
+  const RateTable table = RateTable::ieee80211a();
+  util::Rng rng(941);
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE(trial);
+    RandomInstance in = draw(rng);
+    const int n_sessions = static_cast<int>(in.session_rates.size());
+    const double side = 2500.0;
+    Scenario sc = Scenario::from_geometry(in.ap_pos, in.user_pos, in.user_session,
+                                          in.session_rates, table);
+    for (int epoch = 0; epoch < 8; ++epoch) {
+      SCOPED_TRACE(epoch);
+      const int n = static_cast<int>(in.user_pos.size());
+      ScenarioDelta delta;
+      std::vector<Point> pos;
+      std::vector<int> session;
+      int queried = 0;
+      for (int u = 0; u <= n; ++u) {
+        while (rng.next_bool(0.1)) {
+          const Point p{rng.uniform(0.0, side), rng.uniform(0.0, side)};
+          const int s = rng.next_int(n_sessions);
+          delta.inserted.push_back({u, p, s});
+          pos.push_back(p);
+          session.push_back(s);
+          ++queried;
+        }
+        if (u == n) break;
+        if (rng.next_bool(0.1)) {
+          delta.erased.push_back(u);
+          continue;
+        }
+        Point p = in.user_pos[static_cast<size_t>(u)];
+        int s = in.user_session[static_cast<size_t>(u)];
+        if (rng.next_bool(0.2)) {
+          p = {rng.uniform(0.0, side), rng.uniform(0.0, side)};
+          delta.moved.push_back({u, {0.0, 0.0}});  // overridden: last wins
+          delta.moved.push_back({u, p});
+          ++queried;
+        }
+        if (rng.next_bool(0.15)) {
+          s = rng.next_int(n_sessions);
+          delta.rezapped.push_back({u, s});
+        }
+        pos.push_back(p);
+        session.push_back(s);
+      }
+      std::vector<int> dirty;
+      EXPECT_EQ(sc.patch(delta, &dirty), queried);
+      EXPECT_TRUE(std::is_sorted(dirty.begin(), dirty.end()));
+      in.user_pos = pos;
+      in.user_session = session;
+      const auto rebuilt = Scenario::from_geometry(in.ap_pos, in.user_pos, in.user_session,
+                                                   in.session_rates, table);
+      expect_identical(sc, rebuilt);
+      EXPECT_EQ(first_difference(sc, rebuilt), "");
+    }
+  }
+}
+
+TEST(SparseScenarioTest, PatchRejectsMalformedDeltas) {
+  const RateTable table = RateTable::ieee80211a();
+  const Scenario sc = Scenario::from_geometry({{0.0, 0.0}}, {{10.0, 0.0}, {20.0, 0.0}},
+                                              {0, 0}, {1.0}, table);
+  const auto rejects = [&](const ScenarioDelta& d) {
+    Scenario copy = sc;
+    EXPECT_THROW(copy.patch(d), std::invalid_argument);
+  };
+  ScenarioDelta d;
+  d.erased = {1, 0};
+  rejects(d);
+  d = {};
+  d.erased = {0};
+  d.moved = {{0, {1.0, 1.0}}};
+  rejects(d);
+  d = {};
+  d.inserted = {{3, {1.0, 1.0}, 0}};
+  rejects(d);
+  d = {};
+  d.inserted = {{1, {1.0, 1.0}, 0}, {0, {1.0, 1.0}, 0}};
+  rejects(d);
+  d = {};
+  d.inserted = {{0, {1.0, 1.0}, 1}};
+  rejects(d);
 }
 
 TEST(SparseScenarioTest, MemoryBytesScalesWithLinksNotAps) {
