@@ -1,11 +1,11 @@
 #include "wmcast/chaos/campaign.hpp"
 
-#include <exception>
+#include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <ostream>
 #include <stdexcept>
 
-#include "wmcast/chaos/oracles.hpp"
 #include "wmcast/ctrl/controller.hpp"
 #include "wmcast/ctrl/state.hpp"
 #include "wmcast/ctrl/trace.hpp"
@@ -16,6 +16,23 @@
 
 namespace wmcast::chaos {
 namespace {
+
+template <auto Check>
+ReplayCheckResult on_scenario(const OracleInput& in) {
+  return {Check(in.sc)};
+}
+
+template <auto Check>
+ReplayCheckResult over_trace(const OracleInput& in) {
+  ReplayCheckResult r{Check(in)};
+  r.epochs_run = in.trace.n_epochs();
+  return r;
+}
+
+bool any_failed(const std::vector<OracleResult>& results) {
+  return std::any_of(results.begin(), results.end(),
+                     [](const OracleResult& r) { return !r.pass; });
+}
 
 void accumulate(FaultLog& into, const FaultLog& add) {
   into.events_dropped += add.events_dropped;
@@ -53,6 +70,48 @@ void probe_parser(FaultInjector& inj, const std::string& clean_text, ParseFn par
 }
 
 }  // namespace
+
+const std::vector<OracleFamily>& oracle_families() {
+  static const std::vector<OracleFamily> kFamilies = {
+      {"solver", {"greedy", "mcg", "scg"}, false,
+       on_scenario<check_solver_equivalence>},
+      {"simd", {"simd."}, false, on_scenario<check_simd_vs_scalar>},
+      {"replay", {"replay.", "invariant.", "telemetry."}, true,
+       check_differential_replay},
+      {"serve_repair_parallel", {"serve.repair_parallel_"}, true,
+       over_trace<check_serve_repair_parallel>},
+      {"kconn_k1_identity", {"kconn.k1_identity/"}, false,
+       on_scenario<check_kconn_k1_identity>},
+      {"kconn_parallel", {"kconn.sharded_vs_joint", "kconn.threads_equivalence"}, true,
+       over_trace<check_kconn_parallel>},
+      {"kconn_incremental", {"kconn.incremental_", "kconn.serve_parallel_"}, true,
+       over_trace<check_kconn_incremental>},
+      {"serve_coalescing", {"serve."}, true, over_trace<check_serve_coalescing>},
+  };
+  return kFamilies;
+}
+
+const OracleFamily& family_of(const std::string& check) {
+  const OracleFamily* best = nullptr;
+  size_t best_len = 0;
+  for (const auto& family : oracle_families()) {
+    for (const auto& prefix : family.prefixes) {
+      if (prefix.size() > best_len && check.rfind(prefix, 0) == 0) {
+        best = &family;
+        best_len = prefix.size();
+      }
+    }
+  }
+  if (best == nullptr) {
+    throw std::invalid_argument("chaos: no oracle family emits check '" + check + "'");
+  }
+  return *best;
+}
+
+ReplayCheckResult run_repro(const Repro& repro) {
+  const auto cfg = oracle_controller_config(repro.solver, repro.seed);
+  return family_of(repro.check).run({repro.scenario, repro.trace, cfg, repro.threads});
+}
 
 CampaignResult run_campaign(const CampaignConfig& cfg, std::ostream* progress) {
   util::require(cfg.scenarios >= 0, "campaign: scenarios must be >= 0");
@@ -93,30 +152,13 @@ CampaignResult run_campaign(const CampaignConfig& cfg, std::ostream* progress) {
     FaultInjector injector(fault_seed, profile);
     const auto perturbed = injector.perturb(trace, initial);
 
-    ctrl::ControllerConfig ccfg;
-    ccfg.full_solver = cfg.solver;
-    ccfg.seed = fault_seed;
-    // Fresh baseline every epoch: the controller's degradation guarantee is
-    // relative to its baseline, so the bounded-degradation oracle (which
-    // compares against a cold solve of the *current* state) is only sound
-    // when the baseline never goes stale.
-    ccfg.full_refresh_epochs = 1;
-
-    std::vector<OracleResult> verdicts = check_solver_equivalence(sc);
-    const auto simd_verdicts = check_simd_vs_scalar(sc);
-    verdicts.insert(verdicts.end(), simd_verdicts.begin(), simd_verdicts.end());
-    auto replay = check_differential_replay(sc, perturbed, ccfg, cfg.threads);
-    verdicts.insert(verdicts.end(), replay.results.begin(), replay.results.end());
-    const auto serve_par =
-        check_serve_repair_parallel(sc, perturbed, ccfg, cfg.threads);
-    verdicts.insert(verdicts.end(), serve_par.begin(), serve_par.end());
-    const auto kconn_k1 = check_kconn_k1_identity(sc);
-    verdicts.insert(verdicts.end(), kconn_k1.begin(), kconn_k1.end());
-    const auto kconn_par = check_kconn_parallel(sc, perturbed, ccfg, cfg.threads);
-    verdicts.insert(verdicts.end(), kconn_par.begin(), kconn_par.end());
-    const auto kconn_inc =
-        check_kconn_incremental(sc, perturbed, ccfg, cfg.threads);
-    verdicts.insert(verdicts.end(), kconn_inc.begin(), kconn_inc.end());
+    const auto ccfg = oracle_controller_config(cfg.solver, fault_seed);
+    std::vector<OracleResult> verdicts;
+    for (const auto& family : oracle_families()) {
+      auto r = family.run({sc, perturbed, ccfg, cfg.threads});
+      verdicts.insert(verdicts.end(), std::make_move_iterator(r.results.begin()),
+                      std::make_move_iterator(r.results.end()));
+    }
 
     if (profile.corrupt_prob > 0.0) {
       probe_parser(injector, ctrl::trace_to_text(trace),
@@ -171,24 +213,21 @@ CampaignResult run_campaign(const CampaignConfig& cfg, std::ostream* progress) {
       finding.repro.scenario = sc;
       finding.repro.trace = perturbed;
 
-      if (cfg.shrink_failures) {
-        // "Still failing" = any oracle still objects. Pinning the exact check
-        // name would shrink more surgically but risks chasing a failure mode
-        // that shifts as events disappear; any-failure is stable and every
-        // accepted step is still a genuine repro.
+      // "Still failing" = the family that emitted the failure still objects.
+      // Pinning the exact check name would shrink more surgically but risks
+      // chasing a failure mode that shifts as events disappear; any check of
+      // the family is stable and every accepted step is still a genuine
+      // repro. A scenario-only family has no trace worth shrinking.
+      const OracleFamily& family = family_of(first_failure->check);
+      if (cfg.shrink_failures && family.uses_trace) {
         const auto still_fails = [&](const ctrl::EventTrace& cand) {
-          const auto r = check_differential_replay(sc, cand, ccfg, cfg.threads);
-          for (const auto& v : r.results) {
-            if (!v.pass) return true;
-          }
-          return false;
+          return any_failed(family.run({sc, cand, ccfg, cfg.threads}).results);
         };
         try {
-          auto shrunk = shrink_trace(perturbed, still_fails);
-          finding.repro.trace = std::move(shrunk.trace);
+          finding.repro.trace = shrink_trace(perturbed, still_fails).trace;
         } catch (const std::invalid_argument&) {
-          // The failure came from check_solver_equivalence, not the replay:
-          // the trace is irrelevant to it, so keep the raw trace.
+          // The family passed on a re-run of the very input it failed on: the
+          // failure is not a pure function of its inputs. Keep the raw trace.
         }
       }
 

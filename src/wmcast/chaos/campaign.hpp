@@ -1,6 +1,7 @@
 // The chaos campaign driver (DESIGN.md §10): generate scenarios, perturb
 // their churn traces with seeded fault injection, run every differential
-// oracle, shrink whatever fails, and emit standalone repro files. The whole
+// oracle family in the oracle table, shrink whatever fails against the family
+// that emitted it, and emit standalone repro files. The whole
 // campaign is a pure function of its config — same (seed, profile, sizes)
 // always visits the same scenarios, injects the same faults, and reports the
 // same findings, regardless of host, thread count, or wall clock.
@@ -12,16 +13,40 @@
 #include <vector>
 
 #include "wmcast/chaos/fault.hpp"
+#include "wmcast/chaos/oracles.hpp"
 #include "wmcast/chaos/shrink.hpp"
 #include "wmcast/util/json.hpp"
 
 namespace wmcast::chaos {
 
+/// One row of the oracle table: a differential oracle family and the
+/// check-name prefixes it emits. The campaign runs every row in table order;
+/// a shrink and a repro replay re-run only the row that emits the failing
+/// check.
+struct OracleFamily {
+  const char* name;
+  std::vector<std::string> prefixes;
+  bool uses_trace;  // false: the verdicts depend on the scenario alone
+  ReplayCheckResult (*run)(const OracleInput& in);
+};
+
+/// The oracle table, in the order the campaign runs it.
+const std::vector<OracleFamily>& oracle_families();
+
+/// The family whose prefix is the longest match for `check`. Throws
+/// std::invalid_argument when no family emits it.
+const OracleFamily& family_of(const std::string& check);
+
+/// Replays a repro through the oracle family that emits its check, on
+/// (scenario, trace, oracle_controller_config(solver, seed), threads). A
+/// fixed repro passes; a regression fails again.
+ReplayCheckResult run_repro(const Repro& repro);
+
 struct CampaignConfig {
   uint64_t seed = 1;
   int scenarios = 20;             // seeded fault scenarios to run
   std::string profile = "mixed";  // FaultProfile name, or "all" to cycle them
-  int threads = 4;                // the N of the 1-vs-N differential replay
+  int threads = 4;                // the N of the 1-vs-N differentials
   std::string solver = "mla-c";   // controller full re-solve algorithm
 
   // Scenario scale. Small enough that one scenario replays in milliseconds;

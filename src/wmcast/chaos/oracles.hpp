@@ -3,18 +3,25 @@
 // required to agree. Disagreement is a bug in one of them by construction —
 // no ground truth needed.
 //
-// Oracle pairs:
-//  * engine-backed greedy/MCG/SCG (core/solve) vs the eager references
-//    (setcover/reference) — exact chosen-sequence equivalence;
-//  * sharded parallel solves (core/parallel) vs the joint solve — chosen-set
-//    and covered equivalence;
-//  * the controller at --threads=1 vs --threads=N over the same trace —
-//    committed slot_ap equality after every epoch;
-//  * the controller's incremental repair vs a cold full re-solve — bounded
-//    degradation (repair may be worse, but only within the configured
-//    threshold plus a slack term for baseline staleness between refreshes).
+// Eight families, one check_* below each. The trace-driven ones share two
+// runners — a lock-step replay of two controllers over the trace, and serve
+// stacks fed the trace on one virtual timeline — so each states only its
+// reference config, its candidate config and the projections it compares:
+//  * solver: engine-backed greedy/MCG/SCG vs the eager references, and the
+//    sharded greedy vs the joint solve;
+//  * simd: the solver stack with the kernels forced scalar vs dispatched;
+//  * replay: controller threads=1 vs threads=N (committed slot_ap after
+//    every epoch), per-epoch structural invariants, telemetry conservation,
+//    and incremental repair vs a cold full re-solve (bounded degradation);
+//  * serve_repair_parallel: serve stacks at threads=1/pipeline off vs
+//    threads=N/pipeline on;
+//  * kconn_k1_identity, kconn_parallel, kconn_incremental: the
+//    k-connectivity overlay (DESIGN.md §15-16);
+//  * serve_coalescing: serve stacks with coalescing on vs off.
+// The campaign's oracle table (chaos/campaign.hpp) maps each check name
+// these emit back to its family.
 //
-// Structural invariants checked on the controller after every epoch:
+// Structural invariants checked on the controller:
 //  * association sanity — slot_ap sized to the slot space, every served
 //    user's AP in radio range, no user served without wanting service;
 //  * projection consistency — the in-place patched compact scenario and its
@@ -27,6 +34,7 @@
 //    rejected <= join events, handoffs <= reassociations.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -46,6 +54,21 @@ struct OracleResult {
 
 /// All failures in `results`, formatted one per line (empty when all passed).
 std::string failures_to_text(const std::vector<OracleResult>& results);
+
+/// What a trace-driven oracle family reads.
+struct OracleInput {
+  const wlan::Scenario& sc;
+  const ctrl::EventTrace& trace;  // already fault-perturbed
+  const ctrl::ControllerConfig& cfg;
+  int threads;                    // the N of the 1-vs-N legs
+};
+
+/// The controller config every campaign scenario and repro replays under.
+/// The baseline is refreshed every epoch: the bounded-degradation oracle
+/// compares against a cold solve of the current state, which is only sound
+/// against a never-stale baseline.
+ctrl::ControllerConfig oracle_controller_config(const std::string& solver,
+                                                uint64_t seed);
 
 /// Engine solvers vs eager references on one scenario snapshot: greedy, MCG
 /// (per-AP budgets = the scenario load budget), SCG, and sharded-vs-joint
@@ -72,22 +95,19 @@ std::vector<OracleResult> check_telemetry_conservation(
 
 struct ReplayCheckResult {
   std::vector<OracleResult> results;
-  int epochs_run = 0;
+  int epochs_run = 0;         // trace epochs drained (0 for scenario-only checks)
   bool diverged = false;
-  int divergence_epoch = -1;
+  int divergence_epoch = -1;  // trace epoch of the divergence (0 also = initially)
 };
 
-/// Replays `trace` through two controllers built from the same scenario and
-/// config but threads=1 vs threads=n_threads, comparing the committed
-/// slot_ap after every epoch and running the per-epoch invariant checks on
-/// the 1-thread side. Also runs the incremental-vs-cold bounded-degradation
-/// check on the final state.
-ReplayCheckResult check_differential_replay(const wlan::Scenario& sc,
-                                            const ctrl::EventTrace& trace,
-                                            const ctrl::ControllerConfig& cfg,
-                                            int n_threads);
+/// Replays the trace through two controllers built from the same scenario and
+/// config but threads=1 vs threads=N, comparing the committed slot_ap on the
+/// initial state and after every epoch and running the per-epoch invariant
+/// checks on the 1-thread side. Also runs the telemetry conservation checks
+/// and the incremental-vs-cold bounded-degradation check on the final state.
+ReplayCheckResult check_differential_replay(const OracleInput& in);
 
-/// Serve-loop differential: streams `trace` (epochs mapped onto a virtual
+/// Serve-loop differential: streams the trace (epochs mapped onto a virtual
 /// timeline) through two ServeLoop+controller stacks under a deterministic
 /// service model, identical except coalescing on vs off. Bounded-staleness
 /// coalescing only folds events whose effect is superseded within a batch,
@@ -98,13 +118,11 @@ ReplayCheckResult check_differential_replay(const wlan::Scenario& sc,
 /// invariants on the coalescing side. The ingress queue is unbounded here so
 /// both sides accept the identical stream — backpressure is exercised by the
 /// serve tests, not this oracle.
-std::vector<OracleResult> check_serve_coalescing(const wlan::Scenario& sc,
-                                                 const ctrl::EventTrace& trace,
-                                                 const ctrl::ControllerConfig& cfg);
+std::vector<OracleResult> check_serve_coalescing(const OracleInput& in);
 
-/// Sharded-repair / pipelined-serve differential: streams `trace` through two
+/// Sharded-repair / pipelined-serve differential: streams the trace through two
 /// ServeLoop+controller stacks under the deterministic service model —
-/// threads=1 with the pipeline off vs threads=n_threads with the pipeline on.
+/// threads=1 with the pipeline off vs threads=N with the pipeline on.
 /// Sharded repair merges in deterministic component order and the pipeline
 /// computes every modeled decision at dispatch, so the committed slot_ap, the
 /// LoadReport, and the serve telemetry JSON (wall excluded) must be
@@ -112,10 +130,7 @@ std::vector<OracleResult> check_serve_coalescing(const wlan::Scenario& sc,
 /// Checks emitted: serve.repair_parallel_equivalence (state + slot_ap),
 /// serve.repair_parallel_loads, serve.repair_parallel_telemetry, plus the
 /// controller invariants on the parallel side (serve.repair_parallel_*).
-std::vector<OracleResult> check_serve_repair_parallel(const wlan::Scenario& sc,
-                                                      const ctrl::EventTrace& trace,
-                                                      const ctrl::ControllerConfig& cfg,
-                                                      int n_threads);
+std::vector<OracleResult> check_serve_repair_parallel(const OracleInput& in);
 
 /// k-connectivity k == 1 identity (DESIGN.md §15): for every solver that
 /// supports k (ssa, mla-c, bla-c, mnu-c, local-search), the k == 2 run's
@@ -132,25 +147,19 @@ std::vector<OracleResult> check_kconn_k1_identity(const wlan::Scenario& sc);
 /// k == 2 with the sharded per-session pool path vs the joint serial solve
 /// must produce identical served-sets (the serial augmentation is a pure
 /// function of the thread-invariant base); (b) threads 1-vs-N — the
-/// controller at cfg.k = 2 replayed over `trace` must commit identical
-/// slot_ap AND identical k-connectivity overlays after every epoch.
-std::vector<OracleResult> check_kconn_parallel(const wlan::Scenario& sc,
-                                               const ctrl::EventTrace& trace,
-                                               const ctrl::ControllerConfig& cfg,
-                                               int n_threads);
+/// controller at cfg.k = 2 replayed over the trace must commit identical
+/// state, slot_ap AND k-connectivity overlays after every epoch.
+std::vector<OracleResult> check_kconn_parallel(const OracleInput& in);
 
-/// Incremental kconn engine differential (DESIGN.md §16), the PR 10 gate:
+/// Incremental kconn engine differential (DESIGN.md §16):
 /// (a) controllers at k = 2 with the persistent incremental engine, threads 1
-/// and N, replayed over `trace` — after EVERY epoch the maintained overlay
+/// and N, replayed over the trace — after EVERY epoch the maintained overlay
 /// and multi-load report must be bitwise equal to a cold augment_to_k +
 /// compute_multi_loads re-derivation from the committed association, the two
 /// thread counts must agree with each other, and the engine.kconn.* counters
 /// must be thread-invariant; (b) two full ServeLoop+controller stacks at
 /// k = 2 — threads=1/pipeline=off vs threads=N/pipeline=on — must commit
 /// byte-identical state, overlay and serve-telemetry JSON (wall excluded).
-std::vector<OracleResult> check_kconn_incremental(const wlan::Scenario& sc,
-                                                  const ctrl::EventTrace& trace,
-                                                  const ctrl::ControllerConfig& cfg,
-                                                  int n_threads);
+std::vector<OracleResult> check_kconn_incremental(const OracleInput& in);
 
 }  // namespace wmcast::chaos

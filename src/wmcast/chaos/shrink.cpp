@@ -11,7 +11,7 @@
 namespace wmcast::chaos {
 namespace {
 
-// Every predicate run is a full differential replay; the cap bounds a shrink
+// Every predicate run re-runs an oracle family; the cap bounds a shrink
 // of a pathological trace to something a CI job can afford. Greedy shrinking
 // converges far below this on realistic failures.
 constexpr int kMaxPredicateRuns = 400;
@@ -209,53 +209,6 @@ Repro load_repro(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return repro_from_text(buf.str());
-}
-
-ReplayCheckResult run_repro(const Repro& repro) {
-  ctrl::ControllerConfig cfg;
-  cfg.full_solver = repro.solver;
-  cfg.seed = repro.seed;
-  // Mirror the campaign's controller config (chaos/campaign.cpp) so a repro
-  // replays under exactly the conditions that produced it.
-  cfg.full_refresh_epochs = 1;
-  // Sharded-repair / pipelined-serve repros replay the threads=1-vs-N serve
-  // differential; other serve.* checks replay the coalescing oracle.
-  if (repro.check.rfind("serve.repair_parallel", 0) == 0) {
-    ReplayCheckResult out;
-    out.results =
-        check_serve_repair_parallel(repro.scenario, repro.trace, cfg, repro.threads);
-    out.epochs_run = repro.trace.n_epochs();
-    return out;
-  }
-  if (repro.check.rfind("serve.", 0) == 0) {
-    ReplayCheckResult out;
-    out.results = check_serve_coalescing(repro.scenario, repro.trace, cfg);
-    out.epochs_run = repro.trace.n_epochs();
-    return out;
-  }
-  // k-connectivity repros replay every kconn oracle: the trace-free k=1
-  // identity sweep on the embedded scenario, the k=2 parallel differentials,
-  // and the incremental-engine-vs-cold differential over the embedded trace.
-  if (repro.check.rfind("kconn.", 0) == 0) {
-    ReplayCheckResult out;
-    out.results = check_kconn_k1_identity(repro.scenario);
-    const auto par =
-        check_kconn_parallel(repro.scenario, repro.trace, cfg, repro.threads);
-    out.results.insert(out.results.end(), par.begin(), par.end());
-    const auto inc = check_kconn_incremental(repro.scenario, repro.trace, cfg,
-                                             repro.threads);
-    out.results.insert(out.results.end(), inc.begin(), inc.end());
-    out.epochs_run = repro.trace.n_epochs();
-    return out;
-  }
-  // Kernel-dispatch repros ("simd.*") re-run the SIMD-vs-scalar solver
-  // differential on the embedded scenario; the trace is irrelevant to them.
-  if (repro.check.rfind("simd.", 0) == 0) {
-    ReplayCheckResult out;
-    out.results = check_simd_vs_scalar(repro.scenario);
-    return out;
-  }
-  return check_differential_replay(repro.scenario, repro.trace, cfg, repro.threads);
 }
 
 }  // namespace wmcast::chaos

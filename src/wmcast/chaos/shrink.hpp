@@ -18,7 +18,6 @@
 #include <functional>
 #include <string>
 
-#include "wmcast/chaos/oracles.hpp"
 #include "wmcast/ctrl/controller.hpp"
 #include "wmcast/ctrl/trace.hpp"
 #include "wmcast/wlan/scenario.hpp"
@@ -43,15 +42,15 @@ struct ShrinkResult {
 ShrinkResult shrink_trace(const ctrl::EventTrace& trace,
                           const FailurePredicate& still_fails);
 
-/// A self-contained failure record: everything check_differential_replay
-/// needs, plus provenance (which check failed, under which seed/profile).
+/// A self-contained failure record: everything its oracle family needs to
+/// replay it, plus provenance (which check failed, under which seed/profile).
 struct Repro {
   std::string check;          // failing oracle check name
   std::string detail;         // its failure detail (informational)
   uint64_t seed = 0;          // campaign seed that produced the fault schedule
   std::string profile = "none";  // fault profile name (provenance only)
   std::string solver = "mla-c";  // controller full_solver
-  int threads = 2;            // the N of the 1-vs-N differential replay
+  int threads = 2;            // the N of the 1-vs-N differentials
   wlan::Scenario scenario = wlan::Scenario::from_geometry(
       {{0, 0}}, {}, {}, {1.0}, wlan::RateTable::ieee80211a());
   ctrl::EventTrace trace;     // concrete (already perturbed + shrunk) trace
@@ -69,10 +68,5 @@ Repro repro_from_text(const std::string& text);
 
 bool save_repro(const Repro& repro, const std::string& path);
 Repro load_repro(const std::string& path);
-
-/// Replays a repro through the differential oracles it was minimized
-/// against: check_differential_replay on (scenario, trace, config(solver,
-/// seed), threads). A fixed repro passes; a regression fails again.
-ReplayCheckResult run_repro(const Repro& repro);
 
 }  // namespace wmcast::chaos

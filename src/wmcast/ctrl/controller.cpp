@@ -746,7 +746,7 @@ wlan::Association AssociationController::repair(const wlan::Scenario& sc,
   // Sharded fast path (ctrl/repair_shard.hpp): AP-disjoint component tasks
   // across the pool, peel + greedy + task-local polish per shard. Bitwise
   // identical at any thread count; kTotalLoad only.
-  if (cfg_.shard_repair && cfg_.objective == assoc::SearchObjective::kTotalLoad) {
+  if (cfg_.objective == assoc::SearchObjective::kTotalLoad) {
     RepairShardParams rp;
     rp.enforce_budget = cfg_.enforce_budget;
     rp.multi_rate = cfg_.multi_rate;
@@ -1066,15 +1066,14 @@ EpochReport AssociationController::drain() {
   }
 
   // --- 3. dirty region + compact projection. -------------------------------
-  // Mark the APs the batch touched; eager mode re-projects their candidate
-  // sets now, lazy mode defers the rebuild until a full solve needs the
-  // engine (most serve epochs never do). The dirty region reads the
-  // committed projection, so it runs before the projection is patched.
+  // Mark the APs the batch touched; their candidate sets are re-projected
+  // only when a full solve next needs the engine (most serve epochs never
+  // do). The dirty region reads the committed projection, so it runs before
+  // the projection is patched.
   std::vector<int> touched;  // slots the applied events named, ascending
   touched.reserve(slot_events.size());
   for (const auto& [slot, cnt] : slot_events) touched.push_back(slot);
   mark_engine_dirty(next, touched);
-  if (!cfg_.lazy_engine_refresh) flush_engine(next);
   const auto dirty_slots = dirty_slots_from_delta(state_, next, slot_ap_, touched,
                                                   unserved_, compact_sc_, row_slot_);
   rep.dirty_users = static_cast<int>(dirty_slots.size());

@@ -104,16 +104,13 @@ struct ControllerConfig {
   wlan::RateTable rate_table = wlan::RateTable::ieee80211a();
   uint64_t seed = 1;
   /// Worker threads for the epoch full-solve's sharded per-session path
-  /// (core/parallel.hpp) and the sharded incremental repair below. 1 = serial
+  /// (core/parallel.hpp) and the incremental repair, which runs as
+  /// AP-disjoint component tasks (ctrl/repair_shard.hpp) under the kTotalLoad
+  /// objective; other objectives repair sequentially. 1 = serial
   /// (the reference semantics); <= 0 resolves WMCAST_THREADS, else 1. The
   /// committed association is identical at any thread count (DESIGN.md §9,
   /// §14).
   int threads = 1;
-  /// Shard the incremental repair into AP-disjoint component tasks across the
-  /// pool (ctrl/repair_shard.hpp). kTotalLoad only — other objectives keep
-  /// the sequential path. The repaired association is bitwise identical at
-  /// any thread count.
-  bool shard_repair = true;
   /// Maximum serving APs per user (DESIGN.md §15-16). 1 = the paper's
   /// single-AP model: nothing changes, bit for bit. k >= 2 maintains a
   /// k-connectivity overlay (multi_assoc()/multi_loads()) on top of the
@@ -130,13 +127,6 @@ struct ControllerConfig {
   /// false = re-derive the whole overlay every non-quiescent epoch (the cold
   /// reference path, kept for benches and differential tests).
   bool kconn_incremental = true;
-  /// Defer coverage-engine group rebuilds until a full solve actually needs
-  /// the engine: each drain runs only the cheap dirty-marking pass, and the
-  /// accumulated marks flush right before the next full solve. Epochs that
-  /// never escalate skip re-projection entirely. The committed association is
-  /// unchanged; only the timing of the engine_* maintenance counters moves
-  /// (they land on the flushing epoch).
-  bool lazy_engine_refresh = true;
 };
 
 /// What one drain()/epoch did, for logs and benches. Cumulative counterparts
@@ -171,8 +161,8 @@ struct EpochReport {
   double repair_imbalance = 0.0;
   // Coverage-engine maintenance this epoch (rebuild-vs-repair accounting):
   // how many APs' candidate sets were re-projected, and the set churn that
-  // caused. A quiescent epoch reports all zeros; under lazy_engine_refresh
-  // deferred work lands on the epoch that flushed it.
+  // caused. Group rebuilds are deferred until a full solve needs the engine,
+  // so the work lands on the epoch that flushed it; other epochs report zeros.
   int engine_groups_rebuilt = 0;
   int engine_sets_rebuilt = 0;
   int engine_sets_retired = 0;
@@ -233,9 +223,8 @@ class AssociationController {
   const Telemetry& telemetry() const { return tele_; }
 
   /// The slot-space coverage engine. Exposed for benches and tests; treat as
-  /// read-only. Under lazy_engine_refresh it reflects the state as of the
-  /// last full solve (dirty marks accumulate until then); with the flag off
-  /// it is kept current with state() every epoch.
+  /// read-only. It reflects the state as of the last full solve: dirty marks
+  /// accumulate until the next full solve flushes them.
   const core::CoverageEngine& engine() const { return engine_; }
 
  private:

@@ -68,7 +68,7 @@ class NetworkState {
   }
 
   /// Side of the bounding square of all node positions (trace generation
-  /// re-places movers inside it, mirroring wlan::churn_epoch).
+  /// re-places movers inside it).
   double area_side() const;
 
   /// Number of slots with wants_service().

@@ -1,8 +1,8 @@
 // Event traces: the controller's replay input. One trace = an ordered list
 // of epochs, each a batch of events drained together. Generation follows the
-// paper's §3.1 quasi-static churn model (mobility + channel zapping, as in
-// wlan::churn_epoch) extended with arrivals/departures, local random-walk
-// mobility, and stream-rate changes; both bench/dynamics_churn and
+// paper's §3.1 quasi-static churn model (mobility + channel zapping)
+// extended with arrivals/departures, local random-walk mobility, and
+// stream-rate changes; both bench/dynamics_churn and
 // bench/ctrl_replay drive their experiments from this single generator.
 //
 // Text format (line oriented, like wlan/serialization):

@@ -37,6 +37,7 @@ struct LoadReport {
   int budget_violations = 0;  // APs whose load exceeds the scenario budget
 
   bool within_budget() const { return budget_violations == 0; }
+  friend bool operator==(const LoadReport&, const LoadReport&) = default;
 };
 
 /// Computes the load report for `assoc` on `sc`.
@@ -106,6 +107,7 @@ struct MultiLoadReport {
   int budget_violations = 0;         // APs whose load exceeds the budget
 
   bool within_budget() const { return budget_violations == 0; }
+  friend bool operator==(const MultiLoadReport&, const MultiLoadReport&) = default;
 };
 
 /// Computes the load report for a multi-association: every serving AP counts

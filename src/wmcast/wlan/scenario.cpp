@@ -463,13 +463,6 @@ std::string first_difference(const Scenario& a, const Scenario& b) {
   return "";
 }
 
-Scenario Scenario::apply_delta(const ScenarioDelta& delta,
-                               std::vector<int>* dirty_aps) const {
-  Scenario out = *this;
-  out.patch(delta, dirty_aps);
-  return out;
-}
-
 void Scenario::set_session_rate(int s, double rate_mbps) {
   util::require(s >= 0 && s < n_sessions(), "set_session_rate: unknown session");
   util::require(std::isfinite(rate_mbps) && rate_mbps > 0.0,

@@ -222,11 +222,7 @@ class Scenario {
   /// A copy with different session stream rates (size must match).
   Scenario with_session_rates(std::vector<double> session_rate_mbps) const;
 
-  /// Incremental rebuild (geometric instances only): returns a copy with the
-  /// delta applied (see patch).
-  Scenario apply_delta(const ScenarioDelta& delta, std::vector<int>* dirty_aps) const;
-
-  /// In-place form of apply_delta (geometric instances only). Only the moved
+  /// Incremental rebuild in place (geometric instances only). Only the moved
   /// and inserted users' rows are queried from the grid; every other row,
   /// its search index and its transpose entries are kept, shifted and
   /// renumbered in place, so the buffers are reused and the result is

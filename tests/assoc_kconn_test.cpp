@@ -161,9 +161,9 @@ TEST(KconnLoads, EffectiveRateIsTheSumOfServingStreams) {
 }
 
 // Overlapping served-sets across a scenario delta: after moving users and
-// rezapping sessions via apply_delta, a fresh k = 2 solve on the new scenario
-// still produces a structurally valid overlay (in range in the NEW geometry),
-// and compute_multi_loads round-trips it.
+// rezapping sessions via Scenario::patch, a fresh k = 2 solve on the new
+// scenario still produces a structurally valid overlay (in range in the NEW
+// geometry), and compute_multi_loads round-trips it.
 TEST(KconnEdge, OverlappingServedSetsSurviveApplyDelta) {
   util::Rng rng(919);
   const auto sc = random_scenario(rng, 20, 60);
@@ -174,7 +174,8 @@ TEST(KconnEdge, OverlappingServedSetsSurviveApplyDelta) {
   delta.rezapped.push_back({3, 0});
   delta.rezapped.push_back({7, 1});
   std::vector<int> dirty;
-  const auto sc2 = sc.apply_delta(delta, &dirty);
+  wlan::Scenario sc2 = sc;
+  sc2.patch(delta, &dirty);
 
   CentralizedParams p;
   p.k = 2;

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "wmcast/chaos/campaign.hpp"
 #include "wmcast/chaos/fault.hpp"
 #include "wmcast/chaos/oracles.hpp"
 #include "wmcast/chaos/shrink.hpp"
@@ -47,13 +49,7 @@ ctrl::EventTrace churn_trace(const ctrl::NetworkState& initial, uint64_t seed) {
 }
 
 ctrl::ControllerConfig oracle_config(uint64_t seed) {
-  ctrl::ControllerConfig cfg;
-  cfg.full_solver = "mla-c";
-  cfg.seed = seed;
-  // The bounded-degradation oracle compares against a cold solve of the
-  // current state, which is only sound against a never-stale baseline.
-  cfg.full_refresh_epochs = 1;
-  return cfg;
+  return oracle_controller_config("mla-c", seed);
 }
 
 std::string all_failures(const std::vector<OracleResult>& results) {
@@ -87,7 +83,7 @@ TEST(DifferentialReplayTest, CleanOnUnperturbedTrace) {
   const auto initial = ctrl::NetworkState::from_scenario(sc);
   const auto trace = churn_trace(initial, 23);
 
-  const auto r = check_differential_replay(sc, trace, oracle_config(23), 4);
+  const auto r = check_differential_replay({sc, trace, oracle_config(23), 4});
   EXPECT_FALSE(r.diverged);
   EXPECT_EQ(r.epochs_run, trace.n_epochs());
   EXPECT_EQ(all_failures(r.results), "");
@@ -101,7 +97,7 @@ TEST(DifferentialReplayTest, CleanUnderHeavyFaultInjection) {
   FaultInjector inj(31, FaultProfile::named("heavy"));
   const auto perturbed = inj.perturb(trace, initial);
 
-  const auto r = check_differential_replay(sc, perturbed, oracle_config(31), 4);
+  const auto r = check_differential_replay({sc, perturbed, oracle_config(31), 4});
   EXPECT_FALSE(r.diverged);
   EXPECT_EQ(all_failures(r.results), "");
 }
@@ -122,7 +118,7 @@ TEST(KconnOracleTest, ParallelDifferentialsCleanUnderFaultInjection) {
   FaultInjector inj(37, FaultProfile::named("heavy"));
   const auto perturbed = inj.perturb(trace, initial);
 
-  const auto results = check_kconn_parallel(sc, perturbed, oracle_config(37), 4);
+  const auto results = check_kconn_parallel({sc, perturbed, oracle_config(37), 4});
   EXPECT_EQ(all_failures(results), "");
   bool sharded = false, threads = false;
   for (const auto& r : results) {
@@ -134,7 +130,7 @@ TEST(KconnOracleTest, ParallelDifferentialsCleanUnderFaultInjection) {
 }
 
 // The committed k-connectivity repro must keep replaying clean through the
-// run_repro kconn.* dispatch — exactly how CI replays the corpus.
+// oracle table's kconn row — exactly how CI replays the corpus.
 TEST(KconnOracleTest, CommittedThreadsReproStaysFixed) {
   const std::filesystem::path path = std::filesystem::path(WMCAST_TEST_DATA_DIR) /
                                      "repros" / "repro_kconn_threads.repro";
@@ -150,6 +146,30 @@ TEST(KconnOracleTest, CommittedThreadsReproStaysFixed) {
     if (o.check == "kconn.threads_equivalence") saw_threads_check = true;
   }
   EXPECT_TRUE(saw_threads_check);
+}
+
+// Every check name a family emits must route back to that same family, so
+// a finding is shrunk and replayed against the oracle that produced it. The
+// heavy profile makes the trace exercise invalid events and bursts.
+TEST(OracleTableTest, EveryEmittedCheckMapsBackToItsFamily) {
+  const auto sc = test_scenario(41);
+  const auto initial = ctrl::NetworkState::from_scenario(sc);
+  const auto trace = churn_trace(initial, 41);
+  FaultInjector inj(41, FaultProfile::named("heavy"));
+  const auto perturbed = inj.perturb(trace, initial);
+  const auto cfg = oracle_config(41);
+
+  EXPECT_EQ(oracle_families().size(), 8u);
+  for (const auto& family : oracle_families()) {
+    SCOPED_TRACE(family.name);
+    const auto res = family.run({sc, perturbed, cfg, 3});
+    EXPECT_FALSE(res.results.empty());
+    EXPECT_EQ(failures_to_text(res.results), "");
+    for (const auto& v : res.results) {
+      EXPECT_EQ(family_of(v.check).name, std::string(family.name)) << v.check;
+    }
+  }
+  EXPECT_THROW(family_of("no.such_check"), std::invalid_argument);
 }
 
 TEST(FailuresToTextTest, FormatsOnlyFailures) {

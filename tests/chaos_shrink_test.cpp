@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "wmcast/chaos/campaign.hpp"
 #include "wmcast/chaos/oracles.hpp"
 #include "wmcast/chaos/shrink.hpp"
 #include "wmcast/ctrl/events.hpp"
@@ -191,6 +192,28 @@ TEST(CommittedReprosTest, AllReprosStayFixed) {
     EXPECT_EQ(res.epochs_run, r.trace.n_epochs());
   }
   EXPECT_GE(n_repros, 3) << "committed repro corpus went missing";
+}
+
+// The oracle table routes a repro to one family. For every committed repro
+// that family must be one that emits the repro's check name, or run_repro
+// and the shrinker would replay an oracle the failure never came from.
+TEST(CommittedReprosTest, TablePicksAFamilyThatEmitsTheReproCheck) {
+  const std::filesystem::path dir =
+      std::filesystem::path(WMCAST_TEST_DATA_DIR) / "repros";
+  int n_repros = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".repro") continue;
+    ++n_repros;
+    SCOPED_TRACE(entry.path().filename().string());
+    const Repro r = load_repro(entry.path().string());
+    const OracleFamily& family = family_of(r.check);
+    const auto cfg = oracle_controller_config(r.solver, r.seed);
+    const auto res = family.run({r.scenario, r.trace, cfg, r.threads});
+    bool emitted = false;
+    for (const auto& v : res.results) emitted |= v.check == r.check;
+    EXPECT_TRUE(emitted) << "family " << family.name << " never emits " << r.check;
+  }
+  EXPECT_EQ(n_repros, 7);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "wmcast/chaos/campaign.hpp"
 #include "wmcast/chaos/oracles.hpp"
 #include "wmcast/chaos/shrink.hpp"
 #include "wmcast/ctrl/controller.hpp"

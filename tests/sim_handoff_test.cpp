@@ -4,8 +4,9 @@
 
 #include "wmcast/assoc/centralized.hpp"
 #include "wmcast/assoc/distributed.hpp"
+#include "wmcast/ctrl/state.hpp"
+#include "wmcast/ctrl/trace.hpp"
 #include "wmcast/util/rng.hpp"
-#include "wmcast/wlan/mobility.hpp"
 #include "wmcast/wlan/scenario_generator.hpp"
 
 namespace wmcast::sim {
@@ -13,6 +14,21 @@ namespace {
 
 using wlan::Association;
 using wlan::kNoAp;
+
+/// Carries a slot-space association onto the projection `row_slot` of the
+/// churned state `st`: a user keeps its AP while that AP is still in range,
+/// else it must re-associate (the carry bench/dynamics_churn runs).
+Association carry(const ctrl::NetworkState& st, const std::vector<int>& row_slot,
+                  const std::vector<int>& slot_ap) {
+  Association out = Association::none(static_cast<int>(row_slot.size()));
+  for (size_t r = 0; r < row_slot.size(); ++r) {
+    const int s = row_slot[r];
+    const int old =
+        s < static_cast<int>(slot_ap.size()) ? slot_ap[static_cast<size_t>(s)] : kNoAp;
+    if (old != kNoAp && st.link_rate(old, s) > 0.0) out.user_ap[r] = old;
+  }
+  return out;
+}
 
 TEST(Handoff, CountsTransitionsByKind) {
   const std::vector<Association> snaps = {
@@ -62,32 +78,77 @@ TEST(Handoff, WarmDistributedDisruptsLessThanColdCentralized) {
   wlan::GeneratorParams p;
   p.n_aps = 40;
   p.n_users = 120;
-  auto sc = wlan::generate_scenario(p, rng);
+  const auto sc0 = wlan::generate_scenario(p, rng);
+  auto state = ctrl::NetworkState::from_scenario(sc0);
+  ctrl::TraceParams tp;
+  tp.epochs = 6;
+  tp.move_fraction = 0.08;
+  tp.zap_fraction = 0.04;
+  const auto trace = ctrl::generate_churn_trace(state, tp, rng);
 
-  wlan::ChurnParams churn;
-  churn.move_fraction = 0.08;
-  churn.zap_fraction = 0.04;
-
-  std::vector<Association> warm_snaps;
-  std::vector<Association> cold_snaps;
   util::Rng wrng(1);
-  auto warm = assoc::distributed_mla(sc, wrng);
-  warm_snaps.push_back(warm.assoc);
-  cold_snaps.push_back(assoc::centralized_mla(sc).assoc);
-
-  for (int epoch = 0; epoch < 6; ++epoch) {
-    const auto next = wlan::churn_epoch(sc, churn, rng);
+  std::vector<Association> warm_snaps{assoc::distributed_mla(sc0, wrng).assoc};
+  std::vector<Association> cold_snaps{assoc::centralized_mla(sc0).assoc};
+  for (const auto& epoch : trace.epochs) {
+    for (const auto& ev : epoch) state.apply(ev);
+    std::vector<int> row_slot;
+    const auto sc = state.to_scenario(&row_slot);
     assoc::DistributedParams dp;
-    dp.initial = wlan::carry_over(next, sc, warm.assoc);
+    dp.initial = carry(state, row_slot, warm_snaps.back().user_ap);
     util::Rng r = rng.fork();
-    warm = assoc::distributed_associate(next, r, dp);
-    warm_snaps.push_back(warm.assoc);
-    cold_snaps.push_back(assoc::centralized_mla(next).assoc);
-    sc = next;
+    const auto warm = assoc::distributed_associate(sc, r, dp);
+    const auto cold = assoc::centralized_mla(sc);
+    warm_snaps.push_back(
+        Association{ctrl::slot_association(warm.assoc, row_slot, state.n_slots())});
+    cold_snaps.push_back(
+        Association{ctrl::slot_association(cold.assoc, row_slot, state.n_slots())});
   }
   const auto warm_rep = account_disruptions(warm_snaps);
   const auto cold_rep = account_disruptions(cold_snaps);
   EXPECT_LT(warm_rep.total_disruption_s, cold_rep.total_disruption_s);
+}
+
+TEST(CarryOver, ResumedEngineConvergesFasterThanColdStart) {
+  // The incremental regime the paper argues for (§3.1): after mild churn,
+  // resuming from the carried association touches far fewer users than
+  // starting over.
+  wlan::GeneratorParams p;
+  p.n_aps = 25;
+  p.n_users = 80;
+  p.n_sessions = 4;
+  p.area_side_m = 500.0;
+  util::Rng rng(10);
+  const auto sc0 = wlan::generate_scenario(p, rng);
+  util::Rng arng(11);
+  const auto sol = assoc::distributed_mla(sc0, arng);
+
+  auto state = ctrl::NetworkState::from_scenario(sc0);
+  ctrl::TraceParams tp;
+  tp.epochs = 1;
+  tp.move_fraction = 0.05;
+  tp.zap_fraction = 0.05;
+  util::Rng trng(12);
+  const auto trace = ctrl::generate_churn_trace(state, tp, trng);
+  for (const auto& ev : trace.epochs[0]) state.apply(ev);
+  std::vector<int> row_slot;
+  const auto next = state.to_scenario(&row_slot);
+  const auto carried = carry(state, row_slot, sol.assoc.user_ap);
+
+  assoc::DistributedParams warm;
+  warm.initial = carried;
+  warm.order = util::iota_permutation(next.n_users());
+  util::Rng r1(13);
+  const auto resumed = assoc::distributed_associate(next, r1, warm);
+  EXPECT_TRUE(resumed.converged);
+  EXPECT_EQ(resumed.loads.satisfied_users, next.n_coverable_users());
+
+  // Count how many users hold a different AP than in the carried state —
+  // the "signaling traffic" a warm start saves.
+  int changed = 0;
+  for (int u = 0; u < next.n_users(); ++u) {
+    if (resumed.assoc.ap_of(u) != carried.ap_of(u)) ++changed;
+  }
+  EXPECT_LT(changed, next.n_users() / 2);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // grid-indexed CSR build (Scenario::from_geometry) must be indistinguishable
 // from the dense-matrix reference build (from_geometry_dense) on random
 // geometric instances, at any thread count, and across incremental rebuilds
-// (apply_delta and the in-place patch). Plus the grid's geometric edge cases: users on cell
+// (the in-place patch). Plus the grid's geometric edge cases: users on cell
 // boundaries, APs at exactly the maximum coverage range, users out of range
 // of everything.
 #include <gtest/gtest.h>
@@ -213,7 +213,8 @@ TEST(SparseScenarioTest, ApplyDeltaMatchesFullRebuild) {
     }
 
     std::vector<int> dirty;
-    const auto patched = base.apply_delta(delta, &dirty);
+    Scenario patched = base;
+    patched.patch(delta, &dirty);
     const auto rebuilt = Scenario::from_geometry(in.ap_pos, in.user_pos,
                                                  in.user_session, in.session_rates,
                                                  table);
