@@ -8,7 +8,7 @@
 #include <numeric>
 #include <optional>
 
-#include "wmcast/assoc/policy.hpp"
+#include "wmcast/assoc/local_search.hpp"
 #include "wmcast/assoc/registry.hpp"
 #include "wmcast/ctrl/engine_source.hpp"
 #include "wmcast/util/assert.hpp"
@@ -18,13 +18,42 @@ namespace wmcast::ctrl {
 
 namespace {
 
-assoc::Objective policy_objective(assoc::SearchObjective o) {
-  return o == assoc::SearchObjective::kMaxLoad ? assoc::Objective::kLoadVector
-                                               : assoc::Objective::kTotalLoad;
-}
-
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// compute_loads' fold for one AP under `user_ap`: bottleneck member rate per
+/// session, then the session loads in session order. Writes the per-session
+/// transmission rates to `tx` when given.
+double fold_ap_load(const wlan::Scenario& sc, const std::vector<int>& user_ap, int a,
+                    bool multi_rate, std::vector<double>& min_rate, double* tx) {
+  min_rate.assign(static_cast<size_t>(sc.n_sessions()),
+                  std::numeric_limits<double>::infinity());
+  const wlan::IndexSpan rows = sc.users_of_ap(a);
+  const double* rates = sc.rates_of_ap(a);
+  for (size_t m = 0; m < rows.size(); ++m) {
+    if (user_ap[static_cast<size_t>(rows[m])] != a) continue;
+    double& mr = min_rate[static_cast<size_t>(sc.user_session(rows[m]))];
+    mr = std::min(mr, rates[m]);
+  }
+  double load = 0.0;
+  for (int s = 0; s < sc.n_sessions(); ++s) {
+    const double mr = min_rate[static_cast<size_t>(s)];
+    if (tx != nullptr) tx[s] = 0.0;
+    if (mr == std::numeric_limits<double>::infinity()) continue;
+    const double rate = multi_rate ? mr : sc.basic_rate();
+    if (tx != nullptr) tx[s] = rate;
+    load += sc.session_rate(s) / rate;
+  }
+  return load;
+}
+
+/// Ascending union of two ascending lists.
+std::vector<int> merge_unique(const std::vector<int>& a, const std::vector<int>& b) {
+  std::vector<int> out;
+  out.reserve(a.size() + b.size());
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
+  return out;
 }
 
 }  // namespace
@@ -49,6 +78,7 @@ AssociationController::AssociationController(const wlan::Scenario& initial,
   engine_.build_full(StateSource(state_), cfg_.multi_rate);
   sync_engine_stats(nullptr);
   const auto sol = solve_full(compact_sc_, row_slot_);
+  row_assoc_ = sol.assoc;
   slot_ap_ = slot_association(sol.assoc, row_slot_, state_.n_slots());
   for (int s = 0; s < state_.n_slots(); ++s) {
     if (slot_ap_[static_cast<size_t>(s)] == wlan::kNoAp) unserved_.push_back(s);
@@ -67,7 +97,8 @@ AssociationController::AssociationController(const wlan::Scenario& initial,
 }
 
 void AssociationController::kconn_mark_dirty(const NetworkState& next,
-                                             const std::vector<int>& new_slot_ap) {
+                                             const std::vector<int>& new_slot_ap,
+                                             const std::vector<int>& changed) {
   if (cfg_.k < 2) return;
   // Clear the previous epoch's marks (O(previous dirt), never O(network)).
   for (const int a : kconn_dirty_aps_) kconn_ap_mark_[static_cast<size_t>(a)] = 0;
@@ -145,7 +176,8 @@ void AssociationController::kconn_mark_dirty(const NetworkState& next,
   };
 
   std::vector<std::pair<int, double>> old_links;  // (ap, rate) before a move
-  for (int s = 0; s < next.n_slots(); ++s) {
+  // Every other slot kept its record and its AP: nothing to mark.
+  for (const int s : changed) {
     const UserSlot before = s < state_.n_slots() ? state_.slot(s) : UserSlot{};
     const UserSlot& after = next.slot(s);
     const int old_ap = static_cast<size_t>(s) < slot_ap_.size()
@@ -303,11 +335,7 @@ void AssociationController::refresh_multi(EpochReport* rep) {
   kp.enforce_budget = cfg_.enforce_budget;
 
   // The committed primary view in this epoch's row space.
-  wlan::Association row_assoc = wlan::Association::none(n);
-  for (int r = 0; r < n; ++r) {
-    row_assoc.user_ap[static_cast<size_t>(r)] =
-        slot_ap_[static_cast<size_t>(row_slot_[static_cast<size_t>(r)])];
-  }
+  const wlan::Association& row_assoc = row_assoc_;
 
   if (kconn_plan_.n_aps != n_aps ||
       kconn_plan_.n_sessions != compact_sc_.n_sessions()) {
@@ -726,141 +754,86 @@ bool AssociationController::admit(const JoinRequest& req) const {
   return ok;
 }
 
-wlan::Association AssociationController::repair(const wlan::Scenario& sc,
-                                                const wlan::Association& carried,
+wlan::Association AssociationController::repair(const wlan::Association& carried,
                                                 const std::vector<int>& movable_rows,
+                                                const std::vector<int>& over_budget,
                                                 bool polish) {
-  const int n = sc.n_users();
-  // All per-AP/per-user scratch lives in the reusable workspace; the polish
-  // pass below re-prepares the same workspace once the lists here are spent.
-  repair_ws_.prepare(sc.n_aps(), n);
-  std::vector<int>& user_ap = repair_ws_.user_ap;
-  user_ap = carried.user_ap;
-  std::vector<std::vector<int>>& members = repair_ws_.members;
-  for (int u = 0; u < n; ++u) {
-    if (user_ap[static_cast<size_t>(u)] != wlan::kNoAp) {
-      members[static_cast<size_t>(user_ap[static_cast<size_t>(u)])].push_back(u);
-    }
-  }
-
-  // Sharded fast path (ctrl/repair_shard.hpp): AP-disjoint component tasks
-  // across the pool, peel + greedy + task-local polish per shard. Bitwise
-  // identical at any thread count; kTotalLoad only.
-  if (cfg_.objective == assoc::SearchObjective::kTotalLoad) {
-    RepairShardParams rp;
-    rp.enforce_budget = cfg_.enforce_budget;
-    rp.multi_rate = cfg_.multi_rate;
-    rp.polish = polish;
-    rp.polish_moves_per_dirty = cfg_.polish_moves_per_dirty;
-    rp.polish_min_gain = cfg_.polish_min_gain;
-    repair_sharded(sc, user_ap, members, movable_rows, rp, pool_, repair_lanes_,
-                   &last_repair_stats_);
-    tele_.engine_parallel_repair_calls.inc();
-    tele_.engine_parallel_repair_shards.inc(
-        static_cast<uint64_t>(last_repair_stats_.shards));
-    tele_.engine_parallel_repair_imbalance.set(last_repair_stats_.imbalance);
-    return wlan::Association{user_ap};
-  }
-  last_repair_stats_ = RepairShardStats{};
-
-  std::vector<int>& movable = repair_ws_.decision;  // 0/1 mask
-  movable.assign(static_cast<size_t>(n), 0);
-  std::vector<int> movers = movable_rows;
-  std::vector<int>& pending = repair_ws_.scratch;
-  pending.clear();
-  for (const int u : movable_rows) {
-    movable[static_cast<size_t>(u)] = 1;
-    if (user_ap[static_cast<size_t>(u)] == wlan::kNoAp) pending.push_back(u);
-  }
-
-  // Loads probed through the incremental model (wlan/load_model.hpp):
-  // bit-identical to the ap_load_for_members rescans this path used to run,
-  // at O(rate levels) per probe instead of O(members).
-  repair_model_.reset(sc, cfg_.multi_rate);
-  for (int u = 0; u < n; ++u) {
-    const int a = user_ap[static_cast<size_t>(u)];
-    if (a != wlan::kNoAp) {
-      repair_model_.add(a, sc.user_session(u), sc.link_rate(a, u));
-    }
-  }
-
-  // Budget peel over the carried part: a rate change or zap can push a kept
-  // AP over budget; evict whoever frees the most load and re-place them.
-  if (cfg_.enforce_budget) {
-    for (int a = 0; a < sc.n_aps(); ++a) {
-      auto& m = members[static_cast<size_t>(a)];
-      double load = repair_model_.load(a);
-      while (util::exceeds_budget(load, sc.load_budget()) && !m.empty()) {
-        int best_u = m.front();
-        double best_drop = -std::numeric_limits<double>::infinity();
-        for (const int u : m) {
-          const double drop = load - repair_model_.load_without(
-                                         a, sc.user_session(u), sc.link_rate(a, u));
-          if (drop > best_drop) {
-            best_drop = drop;
-            best_u = u;
-          }
-        }
-        m.erase(std::find(m.begin(), m.end(), best_u));
-        load = repair_model_.remove(a, sc.user_session(best_u),
-                                    sc.link_rate(a, best_u));
-        user_ap[static_cast<size_t>(best_u)] = wlan::kNoAp;
-        pending.push_back(best_u);
-        if (movable[static_cast<size_t>(best_u)] == 0) {
-          movable[static_cast<size_t>(best_u)] = 1;
-          movers.push_back(best_u);
-        }
-      }
-    }
-  }
-
-  // Greedy placement with the distributed decision rule.
-  assoc::PolicyParams pp;
-  pp.objective = policy_objective(cfg_.objective);
-  pp.enforce_budget = cfg_.enforce_budget;
-  pp.multi_rate = cfg_.multi_rate;
-  std::sort(pending.begin(), pending.end());
-  for (const int u : pending) {
-    const int a = assoc::choose_best_ap(sc, repair_model_, u, wlan::kNoAp, pp);
-    if (a != wlan::kNoAp) {
-      members[static_cast<size_t>(a)].push_back(u);
-      repair_model_.add(a, sc.user_session(u), sc.link_rate(a, u));
-      user_ap[static_cast<size_t>(u)] = a;
-    }
-  }
-
-  // Copy (not move) the assignment out: the workspace is reused by the
-  // restricted local search below and by the next epoch.
-  wlan::Association out{user_ap};
-  if (polish && !movers.empty()) {
-    assoc::LocalSearchParams lp;
-    lp.objective = cfg_.objective;
-    lp.enforce_budget = cfg_.enforce_budget;
-    lp.multi_rate = cfg_.multi_rate;
-    lp.max_moves =
-        std::max(100, cfg_.polish_moves_per_dirty * static_cast<int>(movers.size()));
-    lp.restrict_users = std::move(movers);
-    lp.min_gain = cfg_.polish_min_gain;
-    out = assoc::local_search(sc, out, lp, nullptr, &repair_ws_).assoc;
-  }
+  // AP-disjoint component tasks across the pool, peel + greedy + task-local
+  // polish per shard (ctrl/repair_shard.hpp). Bitwise identical at any
+  // thread count.
+  RepairShardParams rp;
+  rp.enforce_budget = cfg_.enforce_budget;
+  rp.multi_rate = cfg_.multi_rate;
+  rp.polish = polish;
+  rp.polish_moves_per_dirty = cfg_.polish_moves_per_dirty;
+  rp.polish_min_gain = cfg_.polish_min_gain;
+  wlan::Association out = carried;
+  repair_sharded(compact_sc_, out.user_ap, movable_rows, over_budget, rp, pool_,
+                 repair_ws_, &last_repair_stats_);
+  tele_.engine_parallel_repair_calls.inc();
+  tele_.engine_parallel_repair_shards.inc(
+      static_cast<uint64_t>(last_repair_stats_.shards));
+  tele_.engine_parallel_repair_imbalance.set(last_repair_stats_.imbalance);
   return out;
 }
 
+std::vector<int> AssociationController::carried_over_budget(
+    const wlan::Association& carried, const std::vector<int>& touched, bool all_aps,
+    EpochReport& rep) {
+  std::vector<int> over;
+  if (!cfg_.enforce_budget) return over;
+  const wlan::Scenario& sc = compact_sc_;
+  std::vector<int> refold;
+  if (all_aps) {
+    refold.resize(static_cast<size_t>(sc.n_aps()));
+    std::iota(refold.begin(), refold.end(), 0);
+  } else {
+    for (const int s : touched) {
+      if (committed_ap(s) != wlan::kNoAp) refold.push_back(committed_ap(s));
+    }
+    std::sort(refold.begin(), refold.end());
+    refold.erase(std::unique(refold.begin(), refold.end()), refold.end());
+  }
+  rep.aps_refolded = static_cast<int>(refold.size());
+  std::vector<double> min_rate;
+  size_t next_refold = 0;
+  for (int a = 0; a < sc.n_aps(); ++a) {
+    double load = loads_.ap_load[static_cast<size_t>(a)];
+    if (next_refold < refold.size() && refold[next_refold] == a) {
+      load = fold_ap_load(sc, carried.user_ap, a, cfg_.multi_rate, min_rate, nullptr);
+      ++next_refold;
+    }
+    if (util::exceeds_budget(load, sc.load_budget())) over.push_back(a);
+  }
+  return over;
+}
+
+int AssociationController::row_of(int slot) const {
+  const auto it = std::lower_bound(row_slot_.begin(), row_slot_.end(), slot);
+  if (it == row_slot_.end() || *it != slot) return -1;
+  return static_cast<int>(it - row_slot_.begin());
+}
+
+int AssociationController::committed_ap(int slot) const {
+  return static_cast<size_t>(slot) < slot_ap_.size() ? slot_ap_[static_cast<size_t>(slot)]
+                                                      : wlan::kNoAp;
+}
+
 AssociationController::ChangeCount AssociationController::count_changes(
-    const std::vector<int>& old_slot_ap, const std::vector<int>& new_slot_ap,
+    const std::vector<int>& new_slot_ap, const std::vector<int>& slots,
     const NetworkState& next) const {
   ChangeCount c;
-  const size_t n = std::max(old_slot_ap.size(), new_slot_ap.size());
-  for (size_t i = 0; i < n; ++i) {
-    const int o = i < old_slot_ap.size() ? old_slot_ap[i] : wlan::kNoAp;
-    const int w = i < new_slot_ap.size() ? new_slot_ap[i] : wlan::kNoAp;
+  for (const int i : slots) {
+    const int o = committed_ap(i);
+    const int w = static_cast<size_t>(i) < new_slot_ap.size()
+                      ? new_slot_ap[static_cast<size_t>(i)]
+                      : wlan::kNoAp;
     if (o == w) continue;
     ++c.total;
     if (o == wlan::kNoAp) continue;  // pure join: neither forced nor voluntary
     if (w != wlan::kNoAp) ++c.handoffs;
-    const bool still_valid = static_cast<int>(i) < next.n_slots() &&
-                             next.slot(static_cast<int>(i)).wants_service() &&
-                             next.link_rate(o, static_cast<int>(i)) > 0.0;
+    const bool still_valid = i < next.n_slots() && next.slot(i).wants_service() &&
+                             next.link_rate(o, i) > 0.0;
     if (still_valid) {
       ++c.voluntary;
     } else {
@@ -902,15 +875,19 @@ int AssociationController::patch_projection(const NetworkState& next,
   const int queried = compact_sc_.patch(delta);
   if (delta.erased.empty() && delta.inserted.empty()) return queried;
 
-  // Splice the row map the same way: drop the erased rows, insert the new
-  // slots in front of their rows.
+  // Splice the row map and the committed row association the same way: drop
+  // the erased rows, insert the new slots (with no AP) in front of their
+  // rows.
   row_slot_spare_.clear();
+  row_ap_spare_.clear();
+  std::vector<int>& row_ap = row_assoc_.user_ap;
   size_t ie = 0;
   size_t ii = 0;
   for (size_t r = 0;; ++r) {
     while (ii < delta.inserted.size() &&
            static_cast<size_t>(delta.inserted[ii].before) == r) {
       row_slot_spare_.push_back(inserted_slots[ii++]);
+      row_ap_spare_.push_back(wlan::kNoAp);
     }
     if (r == row_slot_.size()) break;
     if (ie < delta.erased.size() && static_cast<size_t>(delta.erased[ie]) == r) {
@@ -918,13 +895,16 @@ int AssociationController::patch_projection(const NetworkState& next,
       continue;
     }
     row_slot_spare_.push_back(row_slot_[r]);
+    row_ap_spare_.push_back(row_ap[r]);
   }
   std::swap(row_slot_, row_slot_spare_);
+  std::swap(row_ap, row_ap_spare_);
   return queried;
 }
 
 void AssociationController::patch_loads(const wlan::Association& cand,
                                         const std::vector<int>& cand_slot,
+                                        const std::vector<int>& changed,
                                         const std::vector<int>& touched, bool all_aps) {
   const wlan::Scenario& sc = compact_sc_;
   wlan::LoadReport& out = loads_next_;
@@ -933,17 +913,16 @@ void AssociationController::patch_loads(const wlan::Association& cand,
   // APs that gained or lost a member (re-placed slots) or whose member's
   // record changed (touched slots), on the old and the new side.
   std::vector<int> aps;
-  const auto old_ap = [&](size_t s) { return s < slot_ap_.size() ? slot_ap_[s] : wlan::kNoAp; };
-  for (size_t s = 0; s < cand_slot.size(); ++s) {
-    const int o = old_ap(s);
-    const int w = cand_slot[s];
+  for (const int s : changed) {
+    const int o = committed_ap(s);
+    const int w = cand_slot[static_cast<size_t>(s)];
     if (o == w) continue;
     out.satisfied_users += (w != wlan::kNoAp) - (o != wlan::kNoAp);
     if (o != wlan::kNoAp) aps.push_back(o);
     if (w != wlan::kNoAp) aps.push_back(w);
   }
   for (const int s : touched) {
-    const int o = old_ap(static_cast<size_t>(s));
+    const int o = committed_ap(s);
     const int w = cand_slot[static_cast<size_t>(s)];
     if (o != wlan::kNoAp) aps.push_back(o);
     if (w != wlan::kNoAp) aps.push_back(w);
@@ -955,28 +934,11 @@ void AssociationController::patch_loads(const wlan::Association& cand,
   std::sort(aps.begin(), aps.end());
   aps.erase(std::unique(aps.begin(), aps.end()), aps.end());
 
-  // compute_loads' fold, per AP: bottleneck member rate per session, then
-  // the session loads in session order.
-  std::vector<double> min_rate(static_cast<size_t>(sc.n_sessions()));
+  std::vector<double> min_rate;
   for (const int a : aps) {
-    std::fill(min_rate.begin(), min_rate.end(), std::numeric_limits<double>::infinity());
-    const wlan::IndexSpan rows = sc.users_of_ap(a);
-    const double* rates = sc.rates_of_ap(a);
-    for (size_t m = 0; m < rows.size(); ++m) {
-      if (cand.ap_of(rows[m]) != a) continue;
-      double& mr = min_rate[static_cast<size_t>(sc.user_session(rows[m]))];
-      mr = std::min(mr, rates[m]);
-    }
-    auto& tx = out.tx_rate[static_cast<size_t>(a)];
-    double load = 0.0;
-    for (int s = 0; s < sc.n_sessions(); ++s) {
-      const double mr = min_rate[static_cast<size_t>(s)];
-      tx[static_cast<size_t>(s)] = 0.0;
-      if (mr == std::numeric_limits<double>::infinity()) continue;
-      tx[static_cast<size_t>(s)] = cfg_.multi_rate ? mr : sc.basic_rate();
-      load += sc.session_rate(s) / tx[static_cast<size_t>(s)];
-    }
-    out.ap_load[static_cast<size_t>(a)] = load;
+    out.ap_load[static_cast<size_t>(a)] = fold_ap_load(
+        sc, cand.user_ap, a, cfg_.multi_rate, min_rate,
+        out.tx_rate[static_cast<size_t>(a)].data());
   }
   out.total_load = 0.0;
   out.max_load = 0.0;
@@ -1085,61 +1047,90 @@ EpochReport AssociationController::drain() {
   }
   const double old_basic_rate = compact_sc_.basic_rate();
 
-  // From here to the commit compact_sc_/row_slot_ already describe `next`.
-  // Should anything throw before the commit, the committed state_ is
-  // re-projected cold so the two never drift apart.
+  // From here to the commit compact_sc_/row_slot_/row_assoc_ already
+  // describe `next`. Should anything throw before the commit, the committed
+  // state_ is re-projected cold so the two never drift apart.
   const wlan::Scenario& sc = compact_sc_;
   const std::vector<int>& row_slot = row_slot_;
   wlan::Association cand;
   std::vector<int> cand_slot;
+  // Slots whose AP may differ between slot_ap_ and cand_slot, ascending: the
+  // touched slots plus those of the rows the repair re-placed.
+  std::vector<int> changed;
   ChangeCount cc;
   wlan::LoadReport& cand_loads = loads_next_;
   try {
     rep.rows_projected = patch_projection(next, touched);
-
-    std::vector<char> dirty_mask(static_cast<size_t>(next.n_slots()), 0);
-    for (const int s : dirty_slots) dirty_mask[static_cast<size_t>(s)] = 1;
 
     // Sticky carry: everyone whose old AP is still valid keeps it —
     // including dirty users, whose placement is *reconsidered* (by the
     // restricted polish) rather than discarded. Re-placing the dirty region
     // from scratch would re-associate users whose small move changed
     // nothing, defeating the signaling advantage the controller exists for.
-    const int n_rows = sc.n_users();
-    auto carried = wlan::Association::none(n_rows);
-    std::vector<int> dirty_rows;
-    for (int r = 0; r < n_rows; ++r) {
-      const int slot = row_slot[static_cast<size_t>(r)];
-      const int old = static_cast<size_t>(slot) < slot_ap_.size()
-                          ? slot_ap_[static_cast<size_t>(slot)]
-                          : wlan::kNoAp;
-      const bool valid = old != wlan::kNoAp && sc.in_range(old, r);
-      if (valid) carried.user_ap[static_cast<size_t>(r)] = old;
-      if (dirty_mask[static_cast<size_t>(slot)] || !valid) dirty_rows.push_back(r);
+    // Only touched rows need a range check: an untouched slot kept its
+    // position, and AP positions never change.
+    wlan::Association carried = row_assoc_;
+    std::vector<int> carry_failed;  // touched rows left without an AP
+    for (const int s : touched) {
+      const int r = row_of(s);
+      if (r < 0) continue;
+      int& a = carried.user_ap[static_cast<size_t>(r)];
+      if (a != wlan::kNoAp) {
+        ++rep.rows_rechecked;
+        if (!sc.in_range(a, r)) a = wlan::kNoAp;
+      }
+      if (a == wlan::kNoAp) carry_failed.push_back(r);
     }
+    // Every row the carry leaves without an AP: the committed unserved rows
+    // and the touched rows whose carry failed.
+    std::vector<int> unserved_rows;
+    for (const int s : unserved_) {
+      const int r = row_of(s);
+      if (r >= 0) unserved_rows.push_back(r);
+    }
+    const std::vector<int> unplaced = merge_unique(unserved_rows, carry_failed);
+    std::vector<int> dirty_slot_rows;
+    dirty_slot_rows.reserve(dirty_slots.size());
+    for (const int s : dirty_slots) dirty_slot_rows.push_back(row_of(s));
+    const std::vector<int> dirty_rows = merge_unique(dirty_slot_rows, unplaced);
+
+    const bool all_aps =
+        stream_rate_changed || (!cfg_.multi_rate && sc.basic_rate() != old_basic_rate);
+    const std::vector<int> over_budget =
+        carried_over_budget(carried, touched, all_aps, rep);
+
+    // cand_slot is slot_ap_ patched at the slots the last repair may have
+    // changed.
+    const auto diff_repair = [&] {
+      changed = touched;
+      for (const int r : repair_ws_.moved) {
+        changed.push_back(row_slot[static_cast<size_t>(r)]);
+      }
+      std::sort(changed.begin(), changed.end());
+      changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
+      cand_slot = slot_ap_;
+      cand_slot.resize(static_cast<size_t>(next.n_slots()), wlan::kNoAp);
+      for (const int s : changed) {
+        const int r = row_of(s);
+        cand_slot[static_cast<size_t>(s)] = r >= 0 ? cand.ap_of(r) : wlan::kNoAp;
+      }
+      cc = count_changes(cand_slot, changed, next);
+    };
 
     // --- 4. incremental repair. --------------------------------------------
-    cand = repair(sc, carried, dirty_rows, /*polish=*/true);
+    cand = repair(carried, dirty_rows, over_budget, /*polish=*/true);
     tele_.incremental_repairs.inc();
-    cand_slot = slot_association(cand, row_slot, next.n_slots());
-    cc = count_changes(slot_ap_, cand_slot, next);
+    diff_repair();
 
     // --- 5. bounded signaling: roll back to the minimal forced repair. -----
     if (cfg_.max_reassoc_per_epoch >= 0 && cc.voluntary > cfg_.max_reassoc_per_epoch) {
       rep.rolled_back = true;
       tele_.rollbacks.inc();
-      std::vector<int> forced_rows;
-      for (int r = 0; r < n_rows; ++r) {
-        if (carried.ap_of(r) == wlan::kNoAp) forced_rows.push_back(r);
-      }
-      cand = repair(sc, carried, forced_rows, /*polish=*/false);
-      cand_slot = slot_association(cand, row_slot, next.n_slots());
-      cc = count_changes(slot_ap_, cand_slot, next);
+      cand = repair(carried, unplaced, over_budget, /*polish=*/false);
+      diff_repair();
     }
 
-    patch_loads(cand, cand_slot, touched,
-                stream_rate_changed ||
-                    (!cfg_.multi_rate && sc.basic_rate() != old_basic_rate));
+    patch_loads(cand, cand_slot, changed, touched, all_aps);
 
     // --- 6. baseline refresh + degradation fallback. -----------------------
     ++epochs_since_refresh_;
@@ -1177,16 +1168,18 @@ EpochReport AssociationController::drain() {
       // quality for a fraction of the handoffs a cold solution adoption
       // costs, because users already well-placed never move; stopping
       // halfway into the degradation band (rather than at a local optimum)
-      // keeps the burst short without re-triggering next epoch.
-      assoc::LocalSearchParams lp;
-      lp.objective = cfg_.objective;
-      lp.enforce_budget = cfg_.enforce_budget;
-      lp.multi_rate = cfg_.multi_rate;
+      // keeps the burst short without re-triggering next epoch. Both steps
+      // may move anyone, so they diff every slot.
       if (still_degraded) {
+        std::vector<int> all_slots(static_cast<size_t>(next.n_slots()));
+        std::iota(all_slots.begin(), all_slots.end(), 0);
+        assoc::LocalSearchParams lp;
+        lp.enforce_budget = cfg_.enforce_budget;
+        lp.multi_rate = cfg_.multi_rate;
         lp.target_total = baseline_load_ * (1.0 + 0.5 * cfg_.degradation_threshold);
-        auto warm = assoc::local_search(sc, cand, lp, nullptr, &repair_ws_);
+        auto warm = assoc::local_search(sc, cand, lp, nullptr, &search_ws_);
         auto warm_slot = slot_association(warm.assoc, row_slot, next.n_slots());
-        auto wc = count_changes(slot_ap_, warm_slot, next);
+        auto wc = count_changes(warm_slot, all_slots, next);
         const bool warm_within_cap = cfg_.max_reassoc_per_epoch < 0 ||
                                      wc.voluntary <= cfg_.max_reassoc_per_epoch;
         // Good enough = back inside the degradation band, or matching the
@@ -1202,18 +1195,21 @@ EpochReport AssociationController::drain() {
           cand_slot = std::move(warm_slot);
           cand_loads = std::move(warm.loads);
           cc = wc;
+          changed = std::move(all_slots);
+          rep.warm_escalated = true;
           tele_.warm_escalations.inc();
         } else {
           // Step 2: adopt the cold full solution outright.
-          const auto full_slot = slot_association(full->assoc, row_slot, next.n_slots());
-          const auto fc = count_changes(slot_ap_, full_slot, next);
+          auto full_slot = slot_association(full->assoc, row_slot, next.n_slots());
+          const auto fc = count_changes(full_slot, all_slots, next);
           const bool within_cap = cfg_.max_reassoc_per_epoch < 0 ||
                                   fc.voluntary <= cfg_.max_reassoc_per_epoch;
           if (within_cap && full->loads.total_load < cand_loads.total_load) {
             cand = full->assoc;
-            cand_slot = full_slot;
+            cand_slot = std::move(full_slot);
             cand_loads = full->loads;
             cc = fc;
+            changed = std::move(all_slots);
             rep.used_full_solve = true;
             tele_.full_solves.inc();
           } else {
@@ -1225,27 +1221,23 @@ EpochReport AssociationController::drain() {
     if (sc.n_users() == 0) baseline_load_ = 0.0;
   } catch (...) {
     compact_sc_ = state_.to_scenario(&row_slot_);
+    row_assoc_ = compact_association(slot_ap_, row_slot_);
     throw;
   }
 
   // --- 7. commit. ----------------------------------------------------------
   // Translate the epoch's deltas into kconn dirty marks first: the marking
   // needs the pre-commit state alongside the final candidate association.
-  kconn_mark_dirty(next, cand_slot);
+  kconn_mark_dirty(next, cand_slot, changed);
   // Unserved after the epoch: only slots that were unserved, were touched or
-  // changed AP can be.
-  for (const int s : touched) unserved_.push_back(s);
-  for (size_t s = 0; s < cand_slot.size(); ++s) {
-    const int old = s < slot_ap_.size() ? slot_ap_[s] : wlan::kNoAp;
-    if (old != cand_slot[s]) unserved_.push_back(static_cast<int>(s));
-  }
-  std::sort(unserved_.begin(), unserved_.end());
-  unserved_.erase(std::unique(unserved_.begin(), unserved_.end()), unserved_.end());
+  // changed AP can be (`changed` holds the touched slots).
+  unserved_ = merge_unique(unserved_, changed);
   std::erase_if(unserved_, [&](int s) {
     return !next.slot(s).wants_service() || cand_slot[static_cast<size_t>(s)] != wlan::kNoAp;
   });
   state_ = std::move(next);
   slot_ap_ = std::move(cand_slot);
+  row_assoc_ = std::move(cand);
   std::swap(loads_, loads_next_);
   ++epoch_index_;
 
@@ -1255,10 +1247,7 @@ EpochReport AssociationController::drain() {
   tele_.forced_reassociations.inc(static_cast<uint64_t>(cc.forced));
   tele_.reassoc_per_epoch.record(static_cast<double>(cc.total));
 
-  int present = 0;
-  for (int s = 0; s < state_.n_slots(); ++s) {
-    if (state_.slot(s).present) ++present;
-  }
+  const int present = state_.n_present();
   rep.reassociations = cc.total;
   rep.handoffs = cc.handoffs;
   rep.forced_reassociations = cc.forced;

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "wmcast/assoc/kconn.hpp"
-#include "wmcast/assoc/local_search.hpp"
 #include "wmcast/assoc/solution.hpp"
 #include "wmcast/core/engine.hpp"
 #include "wmcast/core/solve.hpp"
@@ -41,7 +40,6 @@
 #include "wmcast/ctrl/repair_shard.hpp"
 #include "wmcast/ctrl/state.hpp"
 #include "wmcast/ctrl/telemetry.hpp"
-#include "wmcast/wlan/load_model.hpp"
 #include "wmcast/core/parallel.hpp"
 #include "wmcast/util/rng.hpp"
 #include "wmcast/util/thread_pool.hpp"
@@ -73,8 +71,6 @@ using BatchHook = std::function<void(int epoch, std::vector<Event>& batch)>;
 struct ControllerConfig {
   /// Registry name of the full re-solve fallback (mla-c, bla-c, mnu-c, ...).
   std::string full_solver = "mla-c";
-  /// Objective steering the greedy repair and the local-search polish.
-  assoc::SearchObjective objective = assoc::SearchObjective::kTotalLoad;
   bool multi_rate = true;
   bool enforce_budget = true;
   /// Repaired total load may exceed the full-solve baseline by this relative
@@ -105,11 +101,9 @@ struct ControllerConfig {
   uint64_t seed = 1;
   /// Worker threads for the epoch full-solve's sharded per-session path
   /// (core/parallel.hpp) and the incremental repair, which runs as
-  /// AP-disjoint component tasks (ctrl/repair_shard.hpp) under the kTotalLoad
-  /// objective; other objectives repair sequentially. 1 = serial
-  /// (the reference semantics); <= 0 resolves WMCAST_THREADS, else 1. The
-  /// committed association is identical at any thread count (DESIGN.md §9,
-  /// §14).
+  /// AP-disjoint component tasks (ctrl/repair_shard.hpp). 1 = serial;
+  /// <= 0 resolves WMCAST_THREADS, else 1. The committed association is
+  /// identical at any thread count (DESIGN.md §9, §14).
   int threads = 1;
   /// Maximum serving APs per user (DESIGN.md §15-16). 1 = the paper's
   /// single-AP model: nothing changes, bit for bit. k >= 2 maintains a
@@ -141,7 +135,13 @@ struct EpochReport {
   // Projection rows queried from the AP grid (moved and newly served users);
   // every other row of the persistent projection was kept in place.
   int rows_projected = 0;
+  // Repair inputs derived this epoch (DESIGN.md §17): carried APs re-checked
+  // for range (rows of touched slots) and AP loads re-folded to find the
+  // over-budget set; every other row and AP kept its committed value.
+  int rows_rechecked = 0;
+  int aps_refolded = 0;
   bool used_full_solve = false;
+  bool warm_escalated = false;  // the warm global polish was adopted
   bool rolled_back = false;   // signaling cap forced the minimal repair
   int reassociations = 0;     // slot AP changes committed (incl. joins/drops)
   int handoffs = 0;           // AP -> different-AP moves (802.11 Reassociation)
@@ -156,7 +156,7 @@ struct EpochReport {
   double baseline_load = 0.0;
   double drain_seconds = 0.0;
   // Sharded-repair accounting for the repair that produced the committed
-  // association (zeros on the sequential path).
+  // association.
   int repair_shards = 0;
   double repair_imbalance = 0.0;
   // Coverage-engine maintenance this epoch (rebuild-vs-repair accounting):
@@ -237,10 +237,22 @@ class AssociationController {
 
   bool admit(const JoinRequest& req) const;
   assoc::Solution solve_full(const wlan::Scenario& sc, const std::vector<int>& row_slot);
-  wlan::Association repair(const wlan::Scenario& sc, const wlan::Association& carried,
-                           const std::vector<int>& movable_rows, bool polish);
-  ChangeCount count_changes(const std::vector<int>& old_slot_ap,
-                            const std::vector<int>& new_slot_ap,
+  /// Sharded repair of `carried` (ctrl/repair_shard.hpp); repair_ws_.moved
+  /// then lists the rows it may have re-placed.
+  wlan::Association repair(const wlan::Association& carried,
+                           const std::vector<int>& movable_rows,
+                           const std::vector<int>& over_budget, bool polish);
+  /// The APs whose load under `carried` exceeds the budget, ascending. Only
+  /// the committed APs of `touched` slots (every AP when `all_aps`) are
+  /// re-folded; every other AP kept its members and their rates, so its
+  /// load is bitwise the committed loads_.ap_load.
+  std::vector<int> carried_over_budget(const wlan::Association& carried,
+                                       const std::vector<int>& touched, bool all_aps,
+                                       EpochReport& rep);
+  /// Slot-space diff of a candidate against slot_ap_, over `slots` only
+  /// (ascending; every slot whose AP may differ).
+  ChangeCount count_changes(const std::vector<int>& new_slot_ap,
+                            const std::vector<int>& slots,
                             const NetworkState& next) const;
   /// Marks every AP whose candidate sets could differ between state_ and
   /// `next` (old sets via the inverted index — still valid across deferred
@@ -248,16 +260,24 @@ class AssociationController {
   /// position). `touched` lists, ascending, every slot whose record may
   /// differ. Marks accumulate in dirty_groups_ until flush_engine runs.
   void mark_engine_dirty(const NetworkState& next, const std::vector<int>& touched);
-  /// Patches compact_sc_/row_slot_ from state_'s projection to next's: only
-  /// the `touched` slots' rows are edited, the rest shift in place. Returns
-  /// the rows queried from the AP grid.
+  /// Patches compact_sc_/row_slot_/row_assoc_ from state_'s projection to
+  /// next's: only the `touched` slots' rows are edited, the rest shift in
+  /// place; a newly inserted row carries no AP. Returns the rows queried from
+  /// the AP grid.
   int patch_projection(const NetworkState& next, const std::vector<int>& touched);
   /// loads_next_ = loads_ re-folded for the APs whose members, member rates
   /// or stream rates moved between the committed epoch and `cand` (row space
   /// of the patched projection) — bitwise equal to wlan::compute_loads.
-  /// `all_aps` re-folds every AP (a stream- or basic-rate change).
+  /// `changed` lists, ascending, every slot whose AP may differ from
+  /// slot_ap_ (a superset of `touched`). `all_aps` re-folds every AP (a
+  /// stream- or basic-rate change).
   void patch_loads(const wlan::Association& cand, const std::vector<int>& cand_slot,
-                   const std::vector<int>& touched, bool all_aps);
+                   const std::vector<int>& changed, const std::vector<int>& touched,
+                   bool all_aps);
+  /// The projection row of `slot`, or -1 when the slot has none.
+  int row_of(int slot) const;
+  /// The committed AP of `slot` (kNoAp for slots the last epoch did not have).
+  int committed_ap(int slot) const;
   /// Rebuilds the marked groups against `st` and clears the marks. No-op when
   /// nothing is pending.
   void flush_engine(const NetworkState& st);
@@ -278,22 +298,28 @@ class AssociationController {
   /// (dirty APs whose stream plan may change + dirty slots whose served-set
   /// must be re-derived). Runs during drain() while the PRE-commit state_ /
   /// slot_ap_ and the post-epoch `next` / `new_slot_ap` coexist, because old
-  /// heard-sets come from the old state. A
+  /// heard-sets come from the old state. Visits only `changed` (ascending:
+  /// the touched slots and every slot whose AP may have changed). A
   /// session-rate change sets kconn_rate_changed_ (cold rebuild: rates feed
   /// every stream's cost and advertised floor).
-  void kconn_mark_dirty(const NetworkState& next,
-                        const std::vector<int>& new_slot_ap);
+  void kconn_mark_dirty(const NetworkState& next, const std::vector<int>& new_slot_ap,
+                        const std::vector<int>& changed);
 
   ControllerConfig cfg_;
   NetworkState state_;
   std::vector<int> slot_ap_;
   wlan::Scenario compact_sc_;
   std::vector<int> row_slot_;
+  // The committed association in row space: slot_ap_ read through row_slot_,
+  // spliced with it.
+  wlan::Association row_assoc_;
   wlan::LoadReport loads_;
   // Slots that want service but have no AP, ascending (dirty-region input).
   std::vector<int> unserved_;
-  // Reused per-epoch buffers: the spliced row map and the candidate loads.
+  // Reused per-epoch buffers: the spliced row map and association, and the
+  // candidate loads.
   std::vector<int> row_slot_spare_;
+  std::vector<int> row_ap_spare_;
   wlan::LoadReport loads_next_;
   double baseline_load_ = 0.0;
   int epochs_since_refresh_ = 0;
@@ -309,9 +335,8 @@ class AssociationController {
   util::ThreadPool pool_;            // sized from cfg_.threads (1 = inline)
   core::SessionShards shards_;       // rebuilt before each sharded full solve
   core::ShardWorkspaces shard_ws_;   // one solve workspace per pool lane
-  core::AssocWorkspace repair_ws_;
-  wlan::LoadModel repair_model_;               // sequential-path load probes
-  std::vector<RepairLaneWorkspace> repair_lanes_;  // sharded-path lane scratch
+  core::AssocWorkspace search_ws_;  // the warm escalation's local search
+  RepairWorkspace repair_ws_;
   RepairShardStats last_repair_stats_;
   std::vector<int> dirty_groups_;
   std::vector<char> group_mark_;

@@ -129,12 +129,25 @@ void polish_task(const wlan::Scenario& sc, const RepairShardParams& params,
 }  // namespace
 
 void repair_sharded(const wlan::Scenario& sc, std::vector<int>& user_ap,
-                    std::vector<std::vector<int>>& members,
                     const std::vector<int>& movable_rows,
+                    const std::vector<int>& over_budget,
                     const RepairShardParams& params, util::ThreadPool& pool,
-                    std::vector<RepairLaneWorkspace>& lanes,
-                    RepairShardStats* stats) {
+                    RepairWorkspace& ws, RepairShardStats* stats) {
   const int n_aps = sc.n_aps();
+  auto& members = ws.members;
+  if (members.size() < static_cast<size_t>(n_aps)) {
+    members.resize(static_cast<size_t>(n_aps));
+  }
+  // members[a] from the transpose: its rows ascend, so the list is the one a
+  // pass over every user would build.
+  const auto build_members = [&](int a) {
+    auto& m = members[static_cast<size_t>(a)];
+    const wlan::IndexSpan rows = sc.users_of_ap(a);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (user_ap[static_cast<size_t>(rows[i])] == a) m.push_back(rows[i]);
+    }
+  };
+  ws.moved.clear();
 
   // --- 1. union-find closure over the APs repair may touch. ----------------
   std::vector<int> parent(static_cast<size_t>(n_aps));
@@ -143,19 +156,14 @@ void repair_sharded(const wlan::Scenario& sc, std::vector<int>& user_ap,
     const auto nb = sc.aps_of_user(u);
     for (size_t i = 1; i < nb.size(); ++i) unite(parent, nb[0], nb[i]);
   }
-  std::vector<int> over_budget;
-  if (params.enforce_budget) {
-    for (int a = 0; a < n_aps; ++a) {
-      const double load = wlan::ap_load_for_members(
-          sc, a, members[static_cast<size_t>(a)], params.multi_rate);
-      if (util::exceeds_budget(load, sc.load_budget())) over_budget.push_back(a);
-    }
-    // Evictions turn an over-budget AP's members into movers: close the
-    // component over every candidate AP they could land on.
-    for (const int a : over_budget) {
-      for (const int u : members[static_cast<size_t>(a)]) {
-        for (const int b : sc.aps_of_user(u)) unite(parent, a, b);
-      }
+  static const std::vector<int> kNone;
+  const std::vector<int>& peel_aps = params.enforce_budget ? over_budget : kNone;
+  // Evictions turn an over-budget AP's members into movers: close the
+  // component over every candidate AP they could land on.
+  for (const int a : peel_aps) {
+    build_members(a);
+    for (const int u : members[static_cast<size_t>(a)]) {
+      for (const int b : sc.aps_of_user(u)) unite(parent, a, b);
     }
   }
 
@@ -165,7 +173,7 @@ void repair_sharded(const wlan::Scenario& sc, std::vector<int>& user_ap,
     const auto nb = sc.aps_of_user(u);
     if (!nb.empty()) root_has_work[static_cast<size_t>(find_root(parent, nb[0]))] = 1;
   }
-  for (const int a : over_budget) {
+  for (const int a : peel_aps) {
     root_has_work[static_cast<size_t>(find_root(parent, a))] = 1;
   }
   std::vector<int> task_of_root(static_cast<size_t>(n_aps), -1);
@@ -181,6 +189,8 @@ void repair_sharded(const wlan::Scenario& sc, std::vector<int>& user_ap,
     task_aps[static_cast<size_t>(t)].push_back(a);
   }
   const int n_tasks = static_cast<int>(task_aps.size());
+  // Each task's movers, in movable-row order; the peel appends its
+  // evictions while the task runs.
   std::vector<std::vector<int>> task_movers(static_cast<size_t>(n_tasks));
   for (const int u : movable_rows) {
     const auto nb = sc.aps_of_user(u);
@@ -226,14 +236,20 @@ void repair_sharded(const wlan::Scenario& sc, std::vector<int>& user_ap,
 
   // --- 3. per-task repair across the pool. ---------------------------------
   // Tasks touch disjoint APs and users, so they share user_ap / members /
-  // the movable mask directly; only the load model and the pending/mover
-  // lists are per-lane.
-  std::vector<char> movable(static_cast<size_t>(sc.n_users()), 0);
-  for (const int u : movable_rows) movable[static_cast<size_t>(u)] = 1;
+  // the movable mask directly; only the load model and the pending list are
+  // per-lane. A row hearing one of a task's APs is either that task's mover
+  // or moved by no task, so each task builds its own APs' member lists.
+  if (ws.movable.size() < static_cast<size_t>(sc.n_users())) {
+    ws.movable.resize(static_cast<size_t>(sc.n_users()), 0);
+  }
+  std::vector<char>& movable = ws.movable;
+  for (const auto& m : task_movers) {
+    for (const int u : m) movable[static_cast<size_t>(u)] = 1;
+  }
 
-  while (lanes.size() < static_cast<size_t>(pool.size())) lanes.emplace_back();
+  while (ws.lanes.size() < static_cast<size_t>(pool.size())) ws.lanes.emplace_back();
   for (size_t l = 0; l < static_cast<size_t>(pool.size()); ++l) {
-    lanes[l].model.reset(sc, params.multi_rate);
+    ws.lanes[l].model.reset(sc, params.multi_rate);
   }
 
   assoc::PolicyParams pp;
@@ -242,67 +258,74 @@ void repair_sharded(const wlan::Scenario& sc, std::vector<int>& user_ap,
   pp.multi_rate = params.multi_rate;
 
   pool.parallel_for(0, n_tasks, [&](int64_t b, int64_t e, int lane) {
-    RepairLaneWorkspace& ws = lanes[static_cast<size_t>(lane)];
+    RepairLaneWorkspace& lw = ws.lanes[static_cast<size_t>(lane)];
     for (int64_t k = b; k < e; ++k) {
-      const std::vector<int>& aps = task_aps[static_cast<size_t>(order[static_cast<size_t>(k)])];
-      const std::vector<int>& base_movers =
-          task_movers[static_cast<size_t>(order[static_cast<size_t>(k)])];
-      ws.model.begin_scope();
-      ws.pending.clear();
-      ws.movers.assign(base_movers.begin(), base_movers.end());
+      const int task = order[static_cast<size_t>(k)];
+      const std::vector<int>& aps = task_aps[static_cast<size_t>(task)];
+      std::vector<int>& movers = task_movers[static_cast<size_t>(task)];
+      lw.model.begin_scope();
+      lw.pending.clear();
       for (const int a : aps) {
+        // Over-budget lists were built for the closure and are never empty.
+        if (members[static_cast<size_t>(a)].empty()) build_members(a);
         for (const int u : members[static_cast<size_t>(a)]) {
-          ws.model.add(a, sc.user_session(u), sc.link_rate(a, u));
+          lw.model.add(a, sc.user_session(u), sc.link_rate(a, u));
         }
       }
-      for (const int u : base_movers) {
-        if (user_ap[static_cast<size_t>(u)] == wlan::kNoAp) ws.pending.push_back(u);
+      for (const int u : movers) {
+        if (user_ap[static_cast<size_t>(u)] == wlan::kNoAp) lw.pending.push_back(u);
       }
 
       // Budget peel: evict whoever frees the most load and re-place them.
       if (params.enforce_budget) {
         for (const int a : aps) {
           auto& m = members[static_cast<size_t>(a)];
-          double load = ws.model.load(a);
+          double load = lw.model.load(a);
           while (util::exceeds_budget(load, sc.load_budget()) && !m.empty()) {
             int best_u = m.front();
             double best_drop = -std::numeric_limits<double>::infinity();
             for (const int u : m) {
               const double drop =
-                  load - ws.model.load_without(a, sc.user_session(u), sc.link_rate(a, u));
+                  load - lw.model.load_without(a, sc.user_session(u), sc.link_rate(a, u));
               if (drop > best_drop) {
                 best_drop = drop;
                 best_u = u;
               }
             }
             m.erase(std::find(m.begin(), m.end(), best_u));
-            load = ws.model.remove(a, sc.user_session(best_u), sc.link_rate(a, best_u));
+            load = lw.model.remove(a, sc.user_session(best_u), sc.link_rate(a, best_u));
             user_ap[static_cast<size_t>(best_u)] = wlan::kNoAp;
-            ws.pending.push_back(best_u);
+            lw.pending.push_back(best_u);
             if (movable[static_cast<size_t>(best_u)] == 0) {
               movable[static_cast<size_t>(best_u)] = 1;
-              ws.movers.push_back(best_u);
+              movers.push_back(best_u);
             }
           }
         }
       }
 
       // Greedy placement with the distributed decision rule.
-      std::sort(ws.pending.begin(), ws.pending.end());
-      for (const int u : ws.pending) {
-        const int a = assoc::choose_best_ap(sc, ws.model, u, wlan::kNoAp, pp);
+      std::sort(lw.pending.begin(), lw.pending.end());
+      for (const int u : lw.pending) {
+        const int a = assoc::choose_best_ap(sc, lw.model, u, wlan::kNoAp, pp);
         if (a != wlan::kNoAp) {
           members[static_cast<size_t>(a)].push_back(u);
-          ws.model.add(a, sc.user_session(u), sc.link_rate(a, u));
+          lw.model.add(a, sc.user_session(u), sc.link_rate(a, u));
           user_ap[static_cast<size_t>(u)] = a;
         }
       }
 
-      if (params.polish && !ws.movers.empty()) {
-        polish_task(sc, params, aps, user_ap, members, ws.model, ws.movers);
+      if (params.polish && !movers.empty()) {
+        polish_task(sc, params, aps, user_ap, members, lw.model, movers);
       }
+      for (const int a : aps) members[static_cast<size_t>(a)].clear();
     }
   });
+
+  for (const auto& m : task_movers) {
+    for (const int u : m) movable[static_cast<size_t>(u)] = 0;
+    ws.moved.insert(ws.moved.end(), m.begin(), m.end());
+  }
 }
 
 void build_component_tasks(const wlan::Scenario& sc,

@@ -28,9 +28,9 @@
 // running total instead of a network-wide one (a deliberate semantic choice —
 // it is what makes the phase decomposable).
 //
-// Only the kTotalLoad objective is supported: the kMaxLoad key compares
-// against the global maximum, which no AP-disjoint partition can evaluate
-// locally. The controller keeps those objectives on the sequential path.
+// The repair minimises total load (the kTotalLoad objective): a max-load key
+// compares against the global maximum, which no AP-disjoint partition can
+// evaluate locally.
 #pragma once
 
 #include <vector>
@@ -56,7 +56,22 @@ struct RepairShardParams {
 struct RepairLaneWorkspace {
   wlan::LoadModel model;
   std::vector<int> pending;  // users awaiting greedy placement
-  std::vector<int> movers;   // task movers incl. evictions from the peel
+};
+
+/// Per-call scratch for repair_sharded, reused across epochs. Between calls
+/// every member list is empty and the movable mask is all zero, so a call
+/// pays only for the APs and rows it reads.
+struct RepairWorkspace {
+  /// members[a] lists the rows with user_ap[r] == a, ascending. Built from
+  /// the scenario's transpose only for the APs a task or the over-budget
+  /// closure reads, and cleared again before the call returns.
+  std::vector<std::vector<int>> members;
+  std::vector<char> movable;               // per row
+  std::vector<RepairLaneWorkspace> lanes;  // grown to pool.size()
+  /// Out: the rows whose user_ap the last call may have changed — every
+  /// task's movers, including the peel's evictions. Task order, no
+  /// duplicates.
+  std::vector<int> moved;
 };
 
 /// Per-call accounting, surfaced as counters.engine.parallel.repair_*
@@ -68,17 +83,17 @@ struct RepairShardStats {
   double imbalance = 0.0;  // max task movers / mean task movers (1 = balanced)
 };
 
-/// Repairs `user_ap` / `members` in place. On entry they must be consistent
-/// with the carried association (members[a] lists exactly the users with
-/// user_ap[u] == a); on return they reflect the repaired one. `movable_rows`
-/// are the dirty users whose placement may change; users evicted by the
-/// budget peel join them. `lanes` is grown to pool.size() as needed.
+/// Repairs `user_ap` in place. `movable_rows` are the dirty users whose
+/// placement may change; users evicted by the budget peel join them.
+/// `over_budget` must list, ascending, every AP whose load under the entry
+/// `user_ap` exceeds the scenario budget (wlan::compute_loads' fold; read
+/// only when params.enforce_budget). On return ws.moved lists every row the
+/// call may have re-placed.
 void repair_sharded(const wlan::Scenario& sc, std::vector<int>& user_ap,
-                    std::vector<std::vector<int>>& members,
                     const std::vector<int>& movable_rows,
+                    const std::vector<int>& over_budget,
                     const RepairShardParams& params, util::ThreadPool& pool,
-                    std::vector<RepairLaneWorkspace>& lanes,
-                    RepairShardStats* stats = nullptr);
+                    RepairWorkspace& ws, RepairShardStats* stats = nullptr);
 
 /// AP-connected component tasks over an arbitrary dirty-row set — the same
 /// union-find partition repair_sharded builds internally, exposed for the

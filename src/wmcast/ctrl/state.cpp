@@ -29,6 +29,8 @@ NetworkState NetworkState::from_scenario(const wlan::Scenario& sc, wlan::RateTab
     slot.present = true;
     slot.subscribed = true;
   }
+  st.n_present_ = sc.n_users();
+  st.n_active_ = sc.n_users();
   return st;
 }
 
@@ -46,15 +48,13 @@ double NetworkState::area_side() const {
   return side;
 }
 
-int NetworkState::n_active() const {
-  int n = 0;
-  for (const auto& s : slots_) {
-    if (s.wants_service()) ++n;
-  }
-  return n;
-}
-
 void NetworkState::apply(const Event& e) {
+  // Keeps n_present_/n_active_ in step with the one slot an event edits.
+  const auto recount = [&](const UserSlot& before, const UserSlot& after) {
+    n_present_ += static_cast<int>(after.present) - static_cast<int>(before.present);
+    n_active_ += static_cast<int>(after.wants_service()) -
+                 static_cast<int>(before.wants_service());
+  };
   const auto valid_slot = [&](int u) { return u >= 0 && u < n_slots(); };
   const auto valid_session = [&](int s) { return s >= 0 && s < n_sessions(); };
   // A NaN position would poison every distance (and thus every link rate)
@@ -73,18 +73,22 @@ void NetworkState::apply(const Event& e) {
       if (e.user == n_slots()) slots_.emplace_back();
       auto& slot = slots_[static_cast<size_t>(e.user)];
       util::require(!slot.present, "apply(join): user already present");
+      const UserSlot before = slot;
       slot.pos = e.pos;
       slot.session = e.session;
       slot.present = true;
       slot.subscribed = true;
+      recount(before, slot);
       return;
     }
     case EventType::kUserLeave: {
       util::require(valid_slot(e.user), "apply(leave): unknown slot");
       auto& slot = slots_[static_cast<size_t>(e.user)];
       util::require(slot.present, "apply(leave): user not present");
+      const UserSlot before = slot;
       slot.present = false;
       slot.subscribed = false;
+      recount(before, slot);
       return;
     }
     case EventType::kUserMove: {
@@ -107,15 +111,19 @@ void NetworkState::apply(const Event& e) {
       util::require(valid_session(e.session), "apply(subscribe): unknown session");
       auto& slot = slots_[static_cast<size_t>(e.user)];
       util::require(slot.present, "apply(subscribe): user not present");
+      const UserSlot before = slot;
       slot.session = e.session;
       slot.subscribed = true;
+      recount(before, slot);
       return;
     }
     case EventType::kUnsubscribe: {
       util::require(valid_slot(e.user), "apply(unsubscribe): unknown slot");
       auto& slot = slots_[static_cast<size_t>(e.user)];
       util::require(slot.present, "apply(unsubscribe): user not present");
+      const UserSlot before = slot;
       slot.subscribed = false;
+      recount(before, slot);
       return;
     }
   }

@@ -71,8 +71,10 @@ class NetworkState {
   /// re-places movers inside it).
   double area_side() const;
 
-  /// Number of slots with wants_service().
-  int n_active() const;
+  /// Number of slots with `present` / with wants_service(). Counters kept by
+  /// from_scenario and apply(), so reading them costs O(1).
+  int n_present() const { return n_present_; }
+  int n_active() const { return n_active_; }
 
   /// Applies one event; throws std::invalid_argument when the event is
   /// malformed (join of a present user, move/subscribe of an absent one,
@@ -96,6 +98,8 @@ class NetworkState {
   std::vector<double> session_rate_;
   double budget_ = 0.9;
   std::vector<UserSlot> slots_;
+  int n_present_ = 0;
+  int n_active_ = 0;
   wlan::GridIndex ap_grid_;  // derived from ap_pos_ + table_, built once
 };
 

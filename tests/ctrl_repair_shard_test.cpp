@@ -1,8 +1,9 @@
 // Sharded incremental repair (ctrl/repair_shard.hpp) and the wlan::LoadModel
 // it runs on: partition edge cases (empty dirty set, all-dirty, one
-// mega-component), the bitwise thread-invariance contract, the model's
-// exactness against ap_load_for_members, and the signaling-cap rollback on a
-// sharded merged result.
+// mega-component), the bitwise thread-invariance contract, the workspace
+// contract (member lists and movable mask left empty, moved rows reported),
+// the model's exactness against ap_load_for_members, and the signaling-cap
+// rollback on a sharded merged result.
 #include "wmcast/ctrl/repair_shard.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "wmcast/assoc/registry.hpp"
 #include "wmcast/ctrl/controller.hpp"
 #include "wmcast/ctrl/trace.hpp"
+#include "wmcast/util/fp.hpp"
 #include "wmcast/util/rng.hpp"
 #include "wmcast/util/thread_pool.hpp"
 #include "wmcast/wlan/association.hpp"
@@ -51,16 +53,45 @@ Carried carried_from_solve(const wlan::Scenario& sc, uint64_t seed) {
   return c;
 }
 
-void expect_consistent(const wlan::Scenario& sc, const Carried& c) {
-  std::vector<int> from_members(c.user_ap.size(), wlan::kNoAp);
+/// repair_sharded's over-budget input: the APs compute_loads puts over the
+/// budget under `user_ap`, ascending.
+std::vector<int> over_budget(const wlan::Scenario& sc, const std::vector<int>& user_ap) {
+  const auto loads = wlan::compute_loads(sc, wlan::Association{user_ap});
+  std::vector<int> out;
   for (int a = 0; a < sc.n_aps(); ++a) {
-    for (const int u : c.members[static_cast<size_t>(a)]) {
-      EXPECT_EQ(from_members[static_cast<size_t>(u)], wlan::kNoAp)
-          << "user " << u << " listed under two APs";
-      from_members[static_cast<size_t>(u)] = a;
+    if (util::exceeds_budget(loads.ap_load[static_cast<size_t>(a)], sc.load_budget())) {
+      out.push_back(a);
     }
   }
-  EXPECT_EQ(from_members, c.user_ap);
+  return out;
+}
+
+/// Runs repair_sharded on `user_ap` and checks the workspace contract: the
+/// member lists and the movable mask are left empty, every re-placed row is
+/// reported in ws.moved, and every placed row hears its AP.
+void repair_and_check(const wlan::Scenario& sc, std::vector<int>& user_ap,
+                      const std::vector<int>& movable, util::ThreadPool& pool,
+                      RepairShardStats* stats) {
+  const std::vector<int> before = user_ap;
+  RepairWorkspace ws;
+  repair_sharded(sc, user_ap, movable, over_budget(sc, user_ap), RepairShardParams{},
+                 pool, ws, stats);
+  for (const auto& m : ws.members) EXPECT_TRUE(m.empty());
+  for (const char b : ws.movable) EXPECT_EQ(b, 0);
+  std::vector<char> moved(user_ap.size(), 0);
+  for (const int u : ws.moved) {
+    EXPECT_EQ(moved[static_cast<size_t>(u)], 0) << "row " << u << " reported twice";
+    moved[static_cast<size_t>(u)] = 1;
+  }
+  for (int u = 0; u < sc.n_users(); ++u) {
+    const int a = user_ap[static_cast<size_t>(u)];
+    if (a != before[static_cast<size_t>(u)]) {
+      EXPECT_TRUE(moved[static_cast<size_t>(u)]) << "row " << u << " not reported";
+    }
+    if (a != wlan::kNoAp) {
+      EXPECT_GT(sc.link_rate(a, u), 0.0) << "row " << u;
+    }
+  }
 }
 
 TEST(LoadModel, MatchesApLoadForMembersExactly) {
@@ -121,13 +152,10 @@ TEST(RepairShard, EmptyDirtySetIsNoOp) {
   const auto before = c;
 
   util::ThreadPool pool(2);
-  std::vector<RepairLaneWorkspace> lanes;
   RepairShardStats stats;
-  repair_sharded(sc, c.user_ap, c.members, /*movable_rows=*/{}, RepairShardParams{},
-                 pool, lanes, &stats);
+  repair_and_check(sc, c.user_ap, /*movable=*/{}, pool, &stats);
 
   EXPECT_EQ(c.user_ap, before.user_ap);
-  EXPECT_EQ(c.members, before.members);
   EXPECT_EQ(stats.shards, 0);
   EXPECT_EQ(stats.movers, 0);
 }
@@ -146,15 +174,12 @@ TEST(RepairShard, AllDirtyIsThreadInvariant) {
   for (const int threads : {1, 4}) {
     auto c = base;
     util::ThreadPool pool(threads);
-    std::vector<RepairLaneWorkspace> lanes;
     RepairShardStats st;
-    repair_sharded(sc, c.user_ap, c.members, all, RepairShardParams{}, pool, lanes, &st);
-    expect_consistent(sc, c);
+    repair_and_check(sc, c.user_ap, all, pool, &st);
     results.push_back(std::move(c));
     stats.push_back(st);
   }
   EXPECT_EQ(results[0].user_ap, results[1].user_ap);
-  EXPECT_EQ(results[0].members, results[1].members);
   EXPECT_EQ(stats[0].shards, stats[1].shards);
   EXPECT_EQ(stats[0].movers, stats[1].movers);
   EXPECT_EQ(stats[0].imbalance, stats[1].imbalance);
@@ -181,10 +206,8 @@ TEST(RepairShard, DenseScenarioCollapsesToOneMegaComponent) {
   for (int u = 0; u < sc.n_users(); ++u) all.push_back(u);
 
   util::ThreadPool pool(4);
-  std::vector<RepairLaneWorkspace> lanes;
   RepairShardStats stats;
-  repair_sharded(sc, c.user_ap, c.members, all, RepairShardParams{}, pool, lanes, &stats);
-  expect_consistent(sc, c);
+  repair_and_check(sc, c.user_ap, all, pool, &stats);
   EXPECT_EQ(stats.shards, 1);
   EXPECT_EQ(stats.movers, sc.n_users());
   EXPECT_EQ(stats.imbalance, 1.0);

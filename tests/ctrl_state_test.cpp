@@ -47,6 +47,46 @@ TEST(NetworkState, ApplyJoinExtendsSlotSpaceAndValidates) {
       << "unknown session";
 }
 
+// n_present()/n_active() are counters kept by apply(); they must equal a
+// recount after every event kind, including the rejected ones.
+TEST(NetworkState, PresenceCountersFollowEveryEvent) {
+  auto st = two_ap_state({{10, 0}, {40, 0}, {60, 0}}, {0, 1, 0});
+  const auto expect_recount = [&](const char* step) {
+    int present = 0;
+    int active = 0;
+    for (int s = 0; s < st.n_slots(); ++s) {
+      present += st.slot(s).present ? 1 : 0;
+      active += st.slot(s).wants_service() ? 1 : 0;
+    }
+    EXPECT_EQ(st.n_present(), present) << step;
+    EXPECT_EQ(st.n_active(), active) << step;
+  };
+  expect_recount("seed");
+  st.apply(Event::unsubscribe(0));
+  expect_recount("unsubscribe");
+  st.apply(Event::subscribe(0, 1));
+  expect_recount("resubscribe");
+  st.apply(Event::subscribe(1, 0));
+  expect_recount("zap");
+  st.apply(Event::unsubscribe(2));
+  st.apply(Event::leave(2));
+  expect_recount("leave while unsubscribed");
+  st.apply(Event::leave(1));
+  expect_recount("leave");
+  st.apply(Event::join(1, {30, 0}, 0));
+  expect_recount("rejoin");
+  st.apply(Event::join(3, {50, 0}, 1));
+  expect_recount("join extending the slot space");
+  st.apply(Event::move(3, {70, 0}));
+  st.apply(Event::rate_change(0, 2.0));
+  expect_recount("move and rate change");
+  EXPECT_THROW(st.apply(Event::join(0, {0, 0}, 0)), std::invalid_argument);
+  EXPECT_THROW(st.apply(Event::leave(2)), std::invalid_argument);
+  expect_recount("rejected events");
+  EXPECT_EQ(st.n_present(), 3);
+  EXPECT_EQ(st.n_active(), 3);
+}
+
 TEST(NetworkState, ApplyRejectsNonFinitePositionsAndRates) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();

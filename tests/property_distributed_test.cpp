@@ -10,12 +10,18 @@
 namespace wmcast::assoc {
 namespace {
 
+// gtest lists a parameter without a printer as its raw bytes, and ctest
+// registers those listings as test names. The tail is an explicit zeroed
+// member, not padding, so the names are the same in every build.
 struct Combo {
   Objective objective;
   UpdateMode mode;
   double budget;
   bool multi_rate;
+  char zero_tail[7] = {};
 };
+static_assert(sizeof(Combo) ==
+              sizeof(Objective) + sizeof(UpdateMode) + sizeof(double) + sizeof(bool) + 7);
 
 std::string combo_name(const testing::TestParamInfo<Combo>& info) {
   const auto& c = info.param;
