@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   const double rate = args.get_double("rate", 1.0);
 
   bench::print_header("Ablation: §8 extensions (convergence, interference, power)",
-                      args, scenarios, seed, rate);
+                      scenarios, seed, rate);
 
   wlan::GeneratorParams base;
   base.n_aps = 100;

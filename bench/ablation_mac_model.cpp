@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
   const double rate = args.get_double("rate", 1.0);
   const int pkt = args.get_int("pkt", 1500);
 
-  bench::print_header("Ablation: load-model and rate-model idealizations", args,
-                      scenarios, seed, rate);
+  bench::print_header("Ablation: load-model and rate-model idealizations", scenarios,
+                      seed, rate);
 
   // (a) ideal vs airtime load of the MLA-C association, sweeping users.
   {

@@ -109,15 +109,15 @@ inline std::vector<util::Summary> sweep_point(const wlan::GeneratorParams& param
 inline int thread_count(const util::Args& args) { return util::resolve_threads(args); }
 
 /// Standard bench header: prints the sweep configuration so runs are
-/// reproducible from the log alone.
-inline void print_header(const std::string& title, const util::Args& args,
-                         int n_scenarios, uint64_t seed, double session_rate) {
+/// reproducible from the log alone. The thread count is left out: the tables
+/// are the same bytes at any --threads.
+inline void print_header(const std::string& title, int n_scenarios, uint64_t seed,
+                         double session_rate) {
   std::printf("%s\n", title.c_str());
   std::printf("methodology: %d random scenarios per point (paper: 40), seed %llu,\n",
               n_scenarios, static_cast<unsigned long long>(seed));
-  std::printf("  802.11a rates (Table 1), stream rate %.2f Mbps per session\n",
+  std::printf("  802.11a rates (Table 1), stream rate %.2f Mbps per session\n\n",
               session_rate);
-  std::printf("  threads: %d\n\n", thread_count(args));
 }
 
 /// Columns "<name>_min <name>_avg <name>_max" for each algorithm.

@@ -135,8 +135,8 @@ int main(int argc, char** argv) {
   cfg.seed = seed + 2;
   cfg.threads = bench::thread_count(args);
 
-  bench::print_header("Online controller: incremental repair vs cold re-solve", args,
-                      epochs, seed, 1.0);
+  bench::print_header("Online controller: incremental repair vs cold re-solve", epochs,
+                      seed, 1.0);
   std::printf("100 APs / 300 users / 5 sessions; per epoch: %.0f%% random-walk "
               "(sigma %.0f m),\n%.0f%% zap, %.0f%% leave, %.0f%% join; solver %s, "
               "threshold %.0f%%, refresh %d\n\n",

@@ -49,10 +49,12 @@ SlotDelta slot_delta(const std::vector<int>& from, const std::vector<int>& to) {
 /// Advances a slot-space coverage engine from `prev` to `cur` with the same
 /// dirty-group protocol the online controller uses: only APs whose candidate
 /// sets could differ (old sets via the inverted index, new in-range APs by
-/// position) are re-projected. The engine's lifetime stats quantify how much
-/// of the system each epoch actually rebuilds.
+/// position) are re-projected, from `cur`'s projection `sc` (rows mapped to
+/// slots by `row_slot`). The engine's lifetime stats quantify how much of the
+/// system each epoch actually rebuilds.
 void advance_engine(core::CoverageEngine& eng, const ctrl::NetworkState& prev,
-                    const ctrl::NetworkState& cur) {
+                    const ctrl::NetworkState& cur, const wlan::Scenario& sc,
+                    const std::vector<int>& row_slot) {
   std::vector<int> dirty;
   std::vector<char> mark(static_cast<size_t>(cur.n_aps()), 0);
   const auto add = [&](int a) {
@@ -81,7 +83,7 @@ void advance_engine(core::CoverageEngine& eng, const ctrl::NetworkState& prev,
     }
   }
   if (dirty.empty() && cur.n_slots() <= eng.n_elements()) return;
-  eng.update_groups(ctrl::StateSource(cur), dirty, true);
+  eng.update_groups(ctrl::StateSource(cur, sc, row_slot), dirty, true);
 }
 
 /// Pads slot-space snapshots to a common width so sim::account_disruptions
@@ -118,7 +120,7 @@ int main(int argc, char** argv) {
   tp.rate_change_prob = args.get_double("rate-prob", 0.0);
 
   bench::print_header("Dynamics: association quality and signaling under churn",
-                      args, tp.epochs, seed, 1.0);
+                      tp.epochs, seed, 1.0);
   std::printf("100 APs / 300 users / 5 sessions; per epoch: %.0f%% of users move,\n"
               "%.0f%% zap channels; %d epochs (trace: ctrl/trace generator)\n\n",
               100 * tp.move_fraction, 100 * tp.zap_fraction, tp.epochs);
@@ -149,16 +151,20 @@ int main(int argc, char** argv) {
   // Slot-space engine kept current across the trace via the dirty-group
   // protocol; its stats report the rebuild-vs-repair split at the end.
   core::CoverageEngine eng;
-  eng.build_full(ctrl::StateSource(state), true);
+  {
+    std::vector<int> row_slot;
+    const auto sc = state.to_scenario(&row_slot);
+    eng.build_full(ctrl::StateSource(state, sc, row_slot), true);
+  }
 
   util::Table t({"epoch", "warm_total", "cold_total", "warm_reassoc", "cold_reassoc",
                  "warm_rounds"});
   for (int e = 0; e < trace.n_epochs(); ++e) {
     const ctrl::NetworkState prev = state;
     for (const auto& ev : trace.epochs[static_cast<size_t>(e)]) state.apply(ev);
-    advance_engine(eng, prev, state);
     std::vector<int> row_slot;
     const auto sc = state.to_scenario(&row_slot);
+    advance_engine(eng, prev, state, sc, row_slot);
 
     // Warm: carry every still-valid association, resume the distributed engine.
     wlan::Association carried = wlan::Association::none(sc.n_users());

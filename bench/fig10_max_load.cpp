@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
   const double rate = args.get_double("rate", 1.0);
   const auto algos = bla_algos();
 
-  bench::print_header("Figure 10: maximum AP load for multicast (BLA vs SSA)", args,
-                      scenarios, seed, rate);
+  bench::print_header("Figure 10: maximum AP load for multicast (BLA vs SSA)", scenarios,
+                      seed, rate);
 
   {
     util::Table t(bench::summary_headers("users", algos));

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Figure 11: satisfied users vs multicast load budget (MNU vs SSA)\n"
       "400 users, 100 APs, 18 sessions",
-      args, scenarios, seed, rate);
+      scenarios, seed, rate);
 
   util::Table t(bench::summary_headers("budget", algos));
   std::vector<util::Summary> at004;

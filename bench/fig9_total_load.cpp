@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
   const double rate = args.get_double("rate", 1.0);
   const auto algos = mla_algos();
 
-  bench::print_header("Figure 9: total AP load for multicast (MLA vs SSA)", args,
-                      scenarios, seed, rate);
+  bench::print_header("Figure 9: total AP load for multicast (MLA vs SSA)", scenarios,
+                      seed, rate);
 
   // (a) total load vs number of users, 200 APs.
   {

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Motivation: unicast goodput under multicast association policies\n"
       "(frame-level channel simulation; saturated downlink clients)",
-      args, scenarios, seed, rate);
+      scenarios, seed, rate);
 
   wlan::GeneratorParams p;
   p.n_aps = 60;

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
       "Reliability: multicast collision loss and reliable-MAC overhead\n"
       "per association policy (slotted CSMA/CA, " +
           std::to_string(channels) + " channels)",
-      args, scenarios, seed, 1.0);
+      scenarios, seed, 1.0);
 
   wlan::GeneratorParams p;
   p.n_aps = 40;

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const double rate = args.get_double("rate", 1.0);
 
   bench::print_header("Revenue models: each objective wins under its motivation",
-                      args, scenarios, seed, rate);
+                      scenarios, seed, rate);
 
   // Contended setting so MNU matters: modest budget, dense users.
   wlan::GeneratorParams p;

@@ -14,7 +14,10 @@
 //
 //  --dense             also run the dense reference build (same instance) and
 //                      verify the two scenarios are identical
-//  --solve             run centralized MLA end-to-end on the built scenario
+//  --solve             run centralized MLA end-to-end on the built scenario,
+//                      then construct an online AssociationController on it
+//                      at --threads (the ctrl_construct arm: engine build
+//                      from the projection + initial full solve)
 //  --k=K               with --solve and K >= 2, add an mla_solve_k2 arm: the
 //                      same MLA solve plus the k-connectivity augmentation
 //                      (DESIGN.md §15), so the overlay's incremental cost is
@@ -38,6 +41,7 @@
 
 #include "bench_common.hpp"
 #include "wmcast/assoc/centralized.hpp"
+#include "wmcast/ctrl/controller.hpp"
 #include "wmcast/util/cli.hpp"
 #include "wmcast/util/json.hpp"
 #include "wmcast/util/rng.hpp"
@@ -133,6 +137,24 @@ int main(int argc, char** argv) {
                   k, ksol.multi_loads.multi_served_users,
                   ksol.multi_loads.mean_effective_rate, k_seconds,
                   solve_seconds > 0.0 ? (k_seconds / solve_seconds - 1.0) * 100.0 : 0.0);
+    }
+
+    ctrl::ControllerConfig cfg;
+    cfg.threads = pool.size();
+    t0 = now_seconds();
+    const ctrl::AssociationController controller(sparse, cfg);
+    const double construct_seconds = now_seconds() - t0;
+    arms.push_back({"ctrl_construct", construct_seconds, sparse.memory_bytes(),
+                    peak_rss_bytes()});
+    const uint64_t offered = controller.engine().stats().links_offered;
+    std::printf("controller: constructed in %.2fs, engine offered %llu links\n",
+                construct_seconds, static_cast<unsigned long long>(offered));
+    if (offered != static_cast<uint64_t>(sparse.n_links())) {
+      std::fprintf(stderr, "scale_build: the controller's engine build offered %llu "
+                           "links, the scenario has %lld\n",
+                   static_cast<unsigned long long>(offered),
+                   static_cast<long long>(sparse.n_links()));
+      return 1;
     }
   }
 

@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Sensitivity of the headline comparisons to unstated assumptions\n"
       "(paper headlines: MLA -31.1%, BLA -52.9%, MNU +36.9% vs SSA)",
-      args, scenarios, seed, 1.0);
+      scenarios, seed, 1.0);
 
   wlan::GeneratorParams big;  // fig9/fig10 point: 200 APs, 400 users
   big.n_aps = 200;

@@ -29,18 +29,13 @@
 //   double session_rate(int s) const;
 //   int    element_session(int e) const;
 //   bool   element_active(int e) const;   // participates in candidate sets
-//   double link_rate(int g, int e) const; // 0 = out of range
 //   double basic_rate() const;            // single-rate (multi_rate=false) tx
-//   template <class Fn> void for_each_element_of_group(int g, Fn) const;
-//     // superset of the group's in-range elements; the engine filters
-//
-// A Source may additionally provide
 //   template <class Fn> void for_each_link_of_group(int g, Fn) const;
-//     // calls Fn(e, rate) with the positive link rate paired in — sources
-//     // with sparse per-group (element, rate) rows (CSR scenarios) skip the
-//     // per-element link_rate lookup; element order must match
-//     // for_each_element_of_group
-// and the engine uses it when present (detected via `requires`).
+//     // calls Fn(e, rate) for each of the group's links; the engine drops
+//     // pairs with rate <= 0, inactive elements and out-of-range sessions
+//
+// The sets built do not depend on the order a group's elements arrive in:
+// members are emitted ascending within each rate level.
 //
 // Set ids are stable between updates but NOT across compaction; hold ids only
 // while the engine is quiescent (one epoch / one solve).
@@ -58,9 +53,6 @@
 
 namespace wmcast::core {
 
-/// Lifetime counters for the rebuild-vs-repair story: how much of the system
-/// incremental updates actually touched. Exposed through controller telemetry
-/// and the churn benches.
 /// Exact (mantissa, exponent) decomposition of a positive cost: cost =
 /// mant * 2^(exp-53) with mant an integer in [2^52, 2^53) (smaller for
 /// subnormals; still exact). The engine caches this per set so the solvers'
@@ -73,6 +65,9 @@ inline void decompose_cost(double cost, int64_t& mant, int32_t& exp) {
   exp = e;
 }
 
+/// Lifetime counters for the rebuild-vs-repair story: how much of the system
+/// incremental updates actually touched. Exposed through controller telemetry
+/// and the churn benches.
 struct EngineStats {
   uint64_t full_builds = 0;          // build_full calls
   uint64_t incremental_updates = 0;  // update_groups calls
@@ -80,6 +75,10 @@ struct EngineStats {
   uint64_t sets_rebuilt = 0;         // sets appended by update_groups
   uint64_t sets_retired = 0;         // sets tombstoned by update_groups
   uint64_t compactions = 0;          // arena reclamation passes
+  // (element, group) pairs the Source offered to group builds, full and
+  // incremental: the work a build does before bucketing. A source that
+  // offers only its links keeps this at the link count.
+  uint64_t links_offered = 0;
 };
 
 class CoverageEngine {
@@ -231,21 +230,14 @@ class CoverageEngine {
     }
     for (int s = 0; s < n_sessions; ++s) buckets[static_cast<size_t>(s)].clear();
 
-    if constexpr (requires { src.for_each_link_of_group(g, [](int, double) {}); }) {
-      src.for_each_link_of_group(g, [&](int e, double r) {
-        if (r <= 0.0 || !src.element_active(e)) return;
-        const int s = src.element_session(e);
-        if (s >= 0 && s < n_sessions) buckets[static_cast<size_t>(s)].emplace_back(r, e);
-      });
-    } else {
-      src.for_each_element_of_group(g, [&](int e) {
-        if (!src.element_active(e)) return;
-        const int s = src.element_session(e);
-        if (s < 0 || s >= n_sessions) return;
-        const double r = src.link_rate(g, e);
-        if (r > 0.0) buckets[static_cast<size_t>(s)].emplace_back(r, e);
-      });
-    }
+    uint64_t offered = 0;
+    src.for_each_link_of_group(g, [&](int e, double r) {
+      ++offered;
+      if (r <= 0.0 || !src.element_active(e)) return;
+      const int s = src.element_session(e);
+      if (s >= 0 && s < n_sessions) buckets[static_cast<size_t>(s)].emplace_back(r, e);
+    });
+    stats_.links_offered += offered;
 
     for (int s = 0; s < n_sessions; ++s) {
       auto& req = buckets[static_cast<size_t>(s)];

@@ -75,7 +75,7 @@ AssociationController::AssociationController(const wlan::Scenario& initial,
                 "AssociationController: negative degradation threshold");
   row_slot_.resize(static_cast<size_t>(state_.n_slots()));
   std::iota(row_slot_.begin(), row_slot_.end(), 0);
-  engine_.build_full(StateSource(state_), cfg_.multi_rate);
+  engine_.build_full(StateSource(state_, compact_sc_, row_slot_), cfg_.multi_rate);
   sync_engine_stats(nullptr);
   const auto sol = solve_full(compact_sc_, row_slot_);
   row_assoc_ = sol.assoc;
@@ -427,16 +427,11 @@ void AssociationController::refresh_multi(EpochReport* rep) {
     //    only contain heard APs, a user only reads its session's plan
     //    entries, and a clean slot's heard-set did not change — so U covers
     //    every row whose derivation inputs moved).
-    std::vector<int> slot_row(static_cast<size_t>(state_.n_slots()), -1);
-    for (int r = 0; r < n; ++r) {
-      slot_row[static_cast<size_t>(row_slot_[static_cast<size_t>(r)])] = r;
-    }
-    std::vector<char> row_dirty(static_cast<size_t>(n), 0);
+    //    Sorted and unique, so the component tasks see the rows ascending.
+    std::vector<int> dirty_rows;
     for (const int s : kconn_dirty_slots_) {
-      if (s < static_cast<int>(slot_row.size()) &&
-          slot_row[static_cast<size_t>(s)] >= 0) {
-        row_dirty[static_cast<size_t>(slot_row[static_cast<size_t>(s)])] = 1;
-      }
+      const int r = row_of(s);
+      if (r >= 0) dirty_rows.push_back(r);
     }
     for (size_t i = 0; i < changed_pairs.size();) {
       const int a = changed_pairs[i].first;
@@ -445,21 +440,18 @@ void AssociationController::refresh_multi(EpochReport* rep) {
       const wlan::IndexSpan members = compact_sc_.users_of_ap(a);
       for (size_t m = 0; m < members.size(); ++m) {
         const int r = members[m];
-        if (row_dirty[static_cast<size_t>(r)]) continue;
         const int us = compact_sc_.user_session(r);
         for (size_t t = i; t < j; ++t) {
           if (changed_pairs[t].second == us) {
-            row_dirty[static_cast<size_t>(r)] = 1;
+            dirty_rows.push_back(r);
             break;
           }
         }
       }
       i = j;
     }
-    std::vector<int> dirty_rows;
-    for (int r = 0; r < n; ++r) {
-      if (row_dirty[static_cast<size_t>(r)]) dirty_rows.push_back(r);
-    }
+    std::sort(dirty_rows.begin(), dirty_rows.end());
+    dirty_rows.erase(std::unique(dirty_rows.begin(), dirty_rows.end()), dirty_rows.end());
 
     // 3. Settle set: every AP whose settle inputs can have moved — a changed
     //    plan row (changed_aps), a changed base tx / membership (the old and
@@ -482,25 +474,17 @@ void AssociationController::refresh_multi(EpochReport* rep) {
     for (const int a : kconn_settle_hint_) mark_settle(a);
     for (const int s : kconn_dirty_slots_) {
       if (static_cast<size_t>(s) >= kconn_served_.size()) continue;
-      const bool departed = s >= static_cast<int>(slot_row.size()) ||
-                            slot_row[static_cast<size_t>(s)] < 0;
-      if (!departed) continue;
+      if (row_of(s) >= 0) continue;  // still in the projection
       for (const int a : kconn_served_[static_cast<size_t>(s)]) mark_settle(a);
       kconn_served_[static_cast<size_t>(s)].clear();
     }
 
-    // 4. Rebuild the row-space overlay: carried rows copy their slot's stored
-    //    served-set; dirty rows are re-derived in parallel over AP-connected
-    //    components (disjoint row sets -> disjoint writes, fixed task order
-    //    -> bitwise identical at any thread count; per-phase inputs are all
-    //    read-only).
-    if (multi_assoc_.n_users() != n) multi_assoc_.user_aps.resize(static_cast<size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      if (!row_dirty[static_cast<size_t>(r)]) {
-        multi_assoc_.user_aps[static_cast<size_t>(r)] =
-            kconn_served_[static_cast<size_t>(row_slot_[static_cast<size_t>(r)])];
-      }
-    }
+    // 4. Re-derive the dirty rows of the row-space overlay. Carried rows
+    //    already hold their slot's served-set: patch_projection spliced
+    //    multi_assoc_ with the rows. Dirty rows are re-derived in parallel
+    //    over AP-connected components (disjoint row sets -> disjoint writes,
+    //    fixed task order -> bitwise identical at any thread count;
+    //    per-phase inputs are all read-only).
     ComponentTasks tasks;
     std::vector<int> isolated;
     build_component_tasks(compact_sc_, dirty_rows, tasks, isolated);
@@ -697,7 +681,8 @@ void AssociationController::flush_engine(const NetworkState& st) {
       return a < b;
     });
   }
-  engine_.update_groups(StateSource(st), dirty_groups_, cfg_.multi_rate);
+  engine_.update_groups(StateSource(st, compact_sc_, row_slot_), dirty_groups_,
+                        cfg_.multi_rate);
   for (const int a : dirty_groups_) group_mark_[static_cast<size_t>(a)] = 0;
   dirty_groups_.clear();
   engine_flush_pending_ = false;
@@ -875,12 +860,18 @@ int AssociationController::patch_projection(const NetworkState& next,
   const int queried = compact_sc_.patch(delta);
   if (delta.erased.empty() && delta.inserted.empty()) return queried;
 
-  // Splice the row map and the committed row association the same way: drop
-  // the erased rows, insert the new slots (with no AP) in front of their
-  // rows.
+  // Splice the row map, the committed row association and (k >= 2) the
+  // overlay's served-sets the same way: drop the erased rows, insert the new
+  // slots (with no AP and an empty served-set) in front of their rows.
+  // Served-sets are moved, so a kept row costs no copy.
+  const bool splice_multi = cfg_.k >= 2;
+  WMCAST_ASSERT(!splice_multi || multi_assoc_.user_aps.size() == row_slot_.size(),
+                "patch_projection: overlay rows out of step with the projection");
   row_slot_spare_.clear();
   row_ap_spare_.clear();
+  multi_spare_.clear();
   std::vector<int>& row_ap = row_assoc_.user_ap;
+  std::vector<std::vector<int>>& served = multi_assoc_.user_aps;
   size_t ie = 0;
   size_t ii = 0;
   for (size_t r = 0;; ++r) {
@@ -888,6 +879,7 @@ int AssociationController::patch_projection(const NetworkState& next,
            static_cast<size_t>(delta.inserted[ii].before) == r) {
       row_slot_spare_.push_back(inserted_slots[ii++]);
       row_ap_spare_.push_back(wlan::kNoAp);
+      if (splice_multi) multi_spare_.emplace_back();
     }
     if (r == row_slot_.size()) break;
     if (ie < delta.erased.size() && static_cast<size_t>(delta.erased[ie]) == r) {
@@ -896,9 +888,11 @@ int AssociationController::patch_projection(const NetworkState& next,
     }
     row_slot_spare_.push_back(row_slot_[r]);
     row_ap_spare_.push_back(row_ap[r]);
+    if (splice_multi) multi_spare_.push_back(std::move(served[r]));
   }
   std::swap(row_slot_, row_slot_spare_);
   std::swap(row_ap, row_ap_spare_);
+  if (splice_multi) std::swap(served, multi_spare_);
   return queried;
 }
 
@@ -1222,6 +1216,14 @@ EpochReport AssociationController::drain() {
   } catch (...) {
     compact_sc_ = state_.to_scenario(&row_slot_);
     row_assoc_ = compact_association(slot_ap_, row_slot_);
+    if (cfg_.k >= 2) {
+      auto& served = multi_assoc_.user_aps;
+      served.assign(row_slot_.size(), {});
+      for (size_t r = 0; r < row_slot_.size(); ++r) {
+        const auto s = static_cast<size_t>(row_slot_[r]);
+        if (s < kconn_served_.size()) served[r] = kconn_served_[s];
+      }
+    }
     throw;
   }
 

@@ -260,10 +260,10 @@ class AssociationController {
   /// position). `touched` lists, ascending, every slot whose record may
   /// differ. Marks accumulate in dirty_groups_ until flush_engine runs.
   void mark_engine_dirty(const NetworkState& next, const std::vector<int>& touched);
-  /// Patches compact_sc_/row_slot_/row_assoc_ from state_'s projection to
-  /// next's: only the `touched` slots' rows are edited, the rest shift in
-  /// place; a newly inserted row carries no AP. Returns the rows queried from
-  /// the AP grid.
+  /// Patches compact_sc_/row_slot_/row_assoc_ (and multi_assoc_ at k >= 2)
+  /// from state_'s projection to next's: only the `touched` slots' rows are
+  /// edited, the rest shift in place; a newly inserted row carries no AP and
+  /// no served-set. Returns the rows queried from the AP grid.
   int patch_projection(const NetworkState& next, const std::vector<int>& touched);
   /// loads_next_ = loads_ re-folded for the APs whose members, member rates
   /// or stream rates moved between the committed epoch and `cand` (row space
@@ -279,7 +279,9 @@ class AssociationController {
   /// The committed AP of `slot` (kNoAp for slots the last epoch did not have).
   int committed_ap(int slot) const;
   /// Rebuilds the marked groups against `st` and clears the marks. No-op when
-  /// nothing is pending.
+  /// nothing is pending. The groups' links are read from compact_sc_'s
+  /// transpose, so the projection must already describe `st`: drain() calls
+  /// this only after patch_projection(st, ...).
   void flush_engine(const NetworkState& st);
   /// Folds engine stat deltas since the last sync into telemetry (and the
   /// epoch report, when given).
@@ -290,8 +292,8 @@ class AssociationController {
   /// drain(). Cold path (first derivation, session-rate change, or
   /// cfg_.kconn_incremental off): serial full re-derivation. Incremental
   /// path: re-plan dirty APs, re-derive only dirty rows (in parallel over
-  /// AP-connected components), carry every other slot's served-set from
-  /// kconn_served_, re-settle only touched APs. Both paths produce bitwise
+  /// AP-connected components), keep every other row's spliced served-set,
+  /// re-settle only touched APs. Both paths produce bitwise
   /// identical overlays and load reports.
   void refresh_multi(EpochReport* rep);
   /// Translates this epoch's applied slot deltas into kconn dirty marks
@@ -320,6 +322,7 @@ class AssociationController {
   // candidate loads.
   std::vector<int> row_slot_spare_;
   std::vector<int> row_ap_spare_;
+  std::vector<std::vector<int>> multi_spare_;
   wlan::LoadReport loads_next_;
   double baseline_load_ = 0.0;
   int epochs_since_refresh_ = 0;
@@ -345,9 +348,9 @@ class AssociationController {
 
   // k-connectivity overlay state (cfg_.k >= 2 only). The persistent engine
   // (DESIGN.md §16) keys its cross-epoch stores by what is stable across
-  // epochs: the stream plan and settled tx by AP, the served-sets by slot
-  // (rows are remapped every epoch; multi_assoc_'s row-space view is rebuilt
-  // O(n·k) from kconn_served_ after each repair).
+  // epochs: the stream plan and settled tx by AP, the served-sets by slot.
+  // multi_assoc_, the row-space view, is spliced with the rows in
+  // patch_projection, so a repair rewrites only its dirty rows.
   wlan::MultiAssociation multi_assoc_;
   wlan::MultiLoadReport multi_loads_;
   bool multi_valid_ = false;

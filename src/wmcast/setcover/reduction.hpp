@@ -35,16 +35,9 @@ class ScenarioSource {
   double session_rate(int s) const { return sc_->session_rate(s); }
   int element_session(int e) const { return sc_->user_session(e); }
   bool element_active(int) const { return true; }
-  double link_rate(int g, int e) const { return sc_->link_rate(g, e); }
   double basic_rate() const { return sc_->basic_rate(); }
 
-  template <typename Fn>
-  void for_each_element_of_group(int g, Fn&& fn) const {
-    for (const int u : sc_->users_of_ap(g)) fn(u);
-  }
-
-  /// Paired CSR row (same user order as for_each_element_of_group) — lets the
-  /// engine skip the per-user link_rate binary search.
+  /// The AP's CSR row with its link rates paired in.
   template <typename Fn>
   void for_each_link_of_group(int g, Fn&& fn) const {
     const auto users = sc_->users_of_ap(g);

@@ -357,20 +357,26 @@ TEST(PersistentProjection, ConstructorProjectionIsCold) {
 // The projection is patched before repair, so a throw between the patch and
 // the commit must leave it re-projected from the committed state. Here the
 // full solver refuses the instance: single-session MNU on two sessions. It is
-// first called once the seed's zero users have joined (no baseline yet).
+// first called once the seed's zero users have joined (no baseline yet). At
+// k = 2 the overlay's row-space served-sets, spliced with the rows, are
+// restored with the projection.
 TEST(PersistentProjection, ThrowAfterPatchReprojectsCommittedState) {
   const wlan::Scenario empty = wlan::Scenario::from_geometry(
       {{0, 0}, {150, 0}}, {}, {}, {1.0, 1.0}, wlan::RateTable::ieee80211a());
-  ControllerConfig cfg;
-  cfg.full_solver = "mnu-1session";
-  AssociationController c(empty, cfg);
-  c.submit({Event::join(0, {10, 0}, 0), Event::join(1, {140, 0}, 1)});
-  EXPECT_THROW(c.drain(), std::invalid_argument);
-  EXPECT_EQ(c.state().n_slots(), 0) << "nothing was committed";
-  EXPECT_EQ(c.scenario().n_users(), 0);
-  expect_cold_projection(c, 1);
-  EXPECT_EQ(c.drain().rows_projected, 0) << "a quiescent epoch after the throw";
-  expect_cold_projection(c, 2);
+  for (const int k : {1, 2}) {
+    ControllerConfig cfg;
+    cfg.full_solver = "mnu-1session";
+    cfg.k = k;
+    AssociationController c(empty, cfg);
+    c.submit({Event::join(0, {10, 0}, 0), Event::join(1, {140, 0}, 1)});
+    EXPECT_THROW(c.drain(), std::invalid_argument);
+    EXPECT_EQ(c.state().n_slots(), 0) << "nothing was committed";
+    EXPECT_EQ(c.scenario().n_users(), 0);
+    EXPECT_EQ(c.multi_assoc().n_users(), k >= 2 ? c.scenario().n_users() : 0);
+    expect_cold_projection(c, 1);
+    EXPECT_EQ(c.drain().rows_projected, 0) << "a quiescent epoch after the throw";
+    expect_cold_projection(c, 2);
+  }
 }
 
 // rows_projected is a deterministic work counter: a moves-only epoch queries
