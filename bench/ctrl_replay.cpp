@@ -10,8 +10,6 @@
 //   * solution quality: repaired total load relative to the cold optimum,
 //     which must stay within the controller's degradation threshold;
 //   * wall-clock per epoch for both paths.
-// It finishes by validating the dumped telemetry JSON against the documented
-// schema (wmcast-ctrl-telemetry/v1).
 //
 // Run: ./ctrl_replay [--epochs=24] [--seed=41] [--move=0.12] [--walk=40]
 //                    [--zap=0.04] [--leave=0.02] [--join=0.02]
@@ -48,59 +46,6 @@ SlotDelta slot_delta(const std::vector<int>& from, const std::vector<int>& to) {
     if (a != wlan::kNoAp && b != wlan::kNoAp) ++d.handoffs;
   }
   return d;
-}
-
-/// Checks the dumped telemetry against the documented schema; returns an
-/// empty string on success, the first problem otherwise.
-std::string validate_telemetry(const util::Json& j) {
-  const auto* schema = j.find("schema");
-  if (schema == nullptr || schema->as_string() != ctrl::kTelemetrySchema) {
-    return "schema tag missing or wrong";
-  }
-  const auto* counters = j.find("counters");
-  if (counters == nullptr) return "missing counters";
-  for (const char* key : {"events_ingested", "events_applied", "events_coalesced",
-                          "events_invalid", "drains", "epochs", "incremental_repairs",
-                          "full_solves", "baseline_refreshes", "rollbacks",
-                          "joins_admitted", "joins_rejected", "reassociations",
-                          "forced_reassociations"}) {
-    if (counters->find(key) == nullptr) return std::string("missing counter ") + key;
-  }
-  const auto* engine = counters->find("engine");
-  if (engine == nullptr || engine->find("incremental_updates") == nullptr ||
-      engine->find("groups_rebuilt") == nullptr) {
-    return "missing engine rebuild-vs-repair counters";
-  }
-  const auto* parallel = engine->find("parallel");
-  if (parallel == nullptr || parallel->find("solves") == nullptr ||
-      parallel->find("tasks") == nullptr || parallel->find("workers") == nullptr ||
-      parallel->find("imbalance") == nullptr) {
-    return "missing engine.parallel sharded-solve counters";
-  }
-  const auto* by_type = counters->find("events_by_type");
-  if (by_type == nullptr || by_type->find("join") == nullptr ||
-      by_type->find("move") == nullptr) {
-    return "missing events_by_type breakdown";
-  }
-  const auto* gauges = j.find("gauges");
-  if (gauges == nullptr) return "missing gauges";
-  for (const char* key : {"users_present", "users_subscribed", "users_served",
-                          "total_load", "max_load", "baseline_load"}) {
-    if (gauges->find(key) == nullptr) return std::string("missing gauge ") + key;
-  }
-  const auto* hists = j.find("histograms");
-  if (hists == nullptr) return "missing histograms";
-  for (const char* key : {"dirty_region_size", "reassoc_per_epoch", "drain_seconds"}) {
-    const auto* h = hists->find(key);
-    if (h == nullptr) return std::string("missing histogram ") + key;
-    const auto* bounds = h->find("upper_bounds");
-    const auto* counts = h->find("counts");
-    if (bounds == nullptr || counts == nullptr ||
-        counts->size() != bounds->size() + 1) {  // + overflow bucket
-      return std::string("histogram ") + key + " bounds/counts mismatch";
-    }
-  }
-  return "";
 }
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -238,16 +183,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(es.sets_retired),
               static_cast<unsigned long long>(es.compactions));
 
-  // Telemetry dump + schema validation.
-  const auto tele = controller.telemetry().to_json();
-  const auto reparsed = util::Json::parse(tele.dump(2));
-  const std::string problem = validate_telemetry(reparsed);
-  std::printf("  telemetry schema %s: %s\n", ctrl::kTelemetrySchema,
-              problem.empty() ? "valid" : problem.c_str());
   const std::string tele_out = args.get("telemetry", "");
   if (!tele_out.empty()) {
     std::ofstream f(tele_out);
-    f << tele.dump(2) << "\n";
+    f << controller.telemetry().to_json().dump(2) << "\n";
     std::printf("  telemetry written to %s\n", tele_out.c_str());
   }
 
@@ -271,7 +210,6 @@ int main(int argc, char** argv) {
     j.set("cold_epoch_seconds", util::Json(cold_time.mean()));
     j.set("signaling_target_met", util::Json(signal_ok));
     j.set("quality_target_met", util::Json(quality_ok));
-    j.set("telemetry_valid", util::Json(problem.empty()));
     auto eng = util::Json::object();
     eng.set("full_builds", util::Json(static_cast<int64_t>(es.full_builds)));
     eng.set("incremental_updates",
@@ -289,5 +227,5 @@ int main(int argc, char** argv) {
     std::printf("  json written to %s\n", json_out.c_str());
   }
 
-  return (signal_ok && quality_ok && problem.empty()) ? 0 : 1;
+  return (signal_ok && quality_ok) ? 0 : 1;
 }

@@ -109,8 +109,8 @@ std::string overlay_diff(const Controller& a, const Controller& b) {
 /// config); the pipeline and the shard partition must not leak into it.
 std::string telemetry_diff(const serve::ServeTelemetry& a,
                            const serve::ServeTelemetry& b) {
-  const std::string ja = a.to_json(/*include_wall=*/false).dump();
-  const std::string jb = b.to_json(/*include_wall=*/false).dump();
+  const std::string ja = a.to_json(/*include_variant=*/false).dump();
+  const std::string jb = b.to_json(/*include_variant=*/false).dump();
   if (ja == jb) return {};
   size_t i = 0;
   while (i < ja.size() && i < jb.size() && ja[i] == jb[i]) ++i;
@@ -557,7 +557,7 @@ std::string kconn_cold_diff(const Controller& c, const ctrl::ControllerConfig& c
   assoc::KconnParams kp;
   kp.k = c.k();
   kp.multi_rate = cfg.multi_rate;
-  kp.enforce_budget = cfg.enforce_budget;
+  kp.enforce_budget = true;
   const auto cold = assoc::augment_to_k(
       c.scenario(), ctrl::compact_association(c.slot_ap(), c.row_slot()), c.loads(), kp);
   if (!(cold == c.multi_assoc())) {
@@ -654,16 +654,19 @@ std::vector<OracleResult> check_kconn_incremental(const OracleInput& in) {
     return overlay_diff(a, b);
   });
 
-  // The dirty-region accounting must be a pure function of the applied
-  // deltas, never of the pool schedule.
-  const auto counters = [](const Controller& c) {
-    const ctrl::Telemetry& t = c.telemetry();
-    return std::vector<uint64_t>{
-        t.engine_kconn_repairs.value(), t.engine_kconn_repaired_users.value(),
-        t.engine_kconn_carried_users.value(), t.engine_kconn_rebuilds.value()};
-  };
-  const auto k1 = counters(run.ref);
-  const auto kn = counters(run.cand);
+  // Every invariant instrument — the dirty-region accounting among them —
+  // must be a pure function of the applied deltas, never of the pool
+  // schedule.
+  std::string counters_diff;
+  for (const auto& row : ctrl::Telemetry::rows()) {
+    if (!row.invariant) continue;
+    const std::string a = row.value(run.ref.telemetry()).dump();
+    const std::string b = row.value(run.cand.telemetry()).dump();
+    if (a != b) {
+      counters_diff = cat(row.path, " ", a, " vs ", b);
+      break;
+    }
+  }
 
   // (b) Full serve stacks at k=2: threads=1/pipeline=off vs
   // threads=N/pipeline=on must byte-agree on state, overlay and telemetry.
@@ -673,10 +676,7 @@ std::vector<OracleResult> check_kconn_incremental(const OracleInput& in) {
   if (serve_diff.empty()) serve_diff = overlay_diff(seq.c, par.c);
   return {
       verdict("kconn.incremental_vs_cold", run.detail),
-      verdict("kconn.incremental_counters",
-              k1 == kn ? ""
-                       : "engine.kconn repairs/repaired/carried/rebuilds " +
-                             ids_to_text(k1) + " vs " + ids_to_text(kn)),
+      verdict("kconn.incremental_counters", counters_diff),
       verdict("kconn.serve_parallel_equivalence", serve_diff),
       verdict("kconn.serve_parallel_telemetry", telemetry_diff(seq.tele, par.tele)),
   };

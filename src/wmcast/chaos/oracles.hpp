@@ -156,8 +156,8 @@ std::vector<OracleResult> check_kconn_parallel(const OracleInput& in);
 /// and N, replayed over the trace — after EVERY epoch the maintained overlay
 /// and multi-load report must be bitwise equal to a cold augment_to_k +
 /// compute_multi_loads re-derivation from the committed association, the two
-/// thread counts must agree with each other, and the engine.kconn.* counters
-/// must be thread-invariant; (b) two full ServeLoop+controller stacks at
+/// thread counts must agree with each other, and every invariant row of
+/// their ctrl telemetry (Telemetry::rows) must match; (b) two full ServeLoop+controller stacks at
 /// k = 2 — threads=1/pipeline=off vs threads=N/pipeline=on — must commit
 /// byte-identical state, overlay and serve-telemetry JSON (wall excluded).
 std::vector<OracleResult> check_kconn_incremental(const OracleInput& in);

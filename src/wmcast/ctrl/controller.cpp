@@ -75,9 +75,10 @@ AssociationController::AssociationController(const wlan::Scenario& initial,
                 "AssociationController: negative degradation threshold");
   row_slot_.resize(static_cast<size_t>(state_.n_slots()));
   std::iota(row_slot_.begin(), row_slot_.end(), 0);
+  EpochReport seed;
   engine_.build_full(StateSource(state_, compact_sc_, row_slot_), cfg_.multi_rate);
-  sync_engine_stats(nullptr);
-  const auto sol = solve_full(compact_sc_, row_slot_);
+  sync_engine_stats(seed);
+  const auto sol = solve_full(compact_sc_, row_slot_, seed);
   row_assoc_ = sol.assoc;
   slot_ap_ = slot_association(sol.assoc, row_slot_, state_.n_slots());
   for (int s = 0; s < state_.n_slots(); ++s) {
@@ -85,15 +86,21 @@ AssociationController::AssociationController(const wlan::Scenario& initial,
   }
   loads_ = sol.loads;
   baseline_load_ = sol.loads.total_load;
-  tele_.baseline_refreshes.inc();
-  tele_.users_present.set(state_.n_slots());
-  tele_.users_subscribed.set(state_.n_active());
-  tele_.users_served.set(loads_.satisfied_users);
-  tele_.total_load.set(loads_.total_load);
-  tele_.max_load.set(loads_.max_load);
-  tele_.baseline_load.set(baseline_load_);
+  seed.baseline_refreshed = true;
   util::require(cfg_.k >= 1, "AssociationController: k must be >= 1");
-  refresh_multi(nullptr);
+  refresh_multi(seed);
+  report_state(seed);
+  tele_.record(seed, /*drained=*/false);
+}
+
+void AssociationController::report_state(EpochReport& rep) const {
+  rep.users_present = state_.n_present();
+  rep.users_subscribed = state_.n_active();
+  rep.users_served = loads_.satisfied_users;
+  rep.total_load = loads_.total_load;
+  rep.max_load = loads_.max_load;
+  rep.baseline_load = baseline_load_;
+  rep.queue_depth = static_cast<int>(queue_.size());
 }
 
 void AssociationController::kconn_mark_dirty(const NetworkState& next,
@@ -301,7 +308,7 @@ void AssociationController::kconn_mark_dirty(const NetworkState& next,
   std::sort(kconn_dirty_slots_.begin(), kconn_dirty_slots_.end());
 }
 
-void AssociationController::refresh_multi(EpochReport* rep) {
+void AssociationController::refresh_multi(EpochReport& rep) {
   if (cfg_.k < 2) return;
   // Every exit path (quiescent, cold, incremental) accumulates into
   // kconn_seconds_ so benches can isolate the overlay step's cost.
@@ -322,17 +329,15 @@ void AssociationController::refresh_multi(EpochReport* rep) {
   // admissions and other invisible-slot churn.
   if (multi_valid_ && !kconn_rate_changed_ && kconn_dirty_aps_.empty() &&
       kconn_dirty_slots_.empty()) {
-    if (rep != nullptr) {
-      rep->multi_served_users = multi_loads_.multi_served_users;
-      rep->mean_effective_rate = multi_loads_.mean_effective_rate;
-    }
+    rep.multi_served_users = multi_loads_.multi_served_users;
+    rep.mean_effective_rate = multi_loads_.mean_effective_rate;
     return;
   }
 
   assoc::KconnParams kp;
   kp.k = cfg_.k;
   kp.multi_rate = cfg_.multi_rate;
-  kp.enforce_budget = cfg_.enforce_budget;
+  kp.enforce_budget = true;
 
   // The committed primary view in this epoch's row space.
   const wlan::Association& row_assoc = row_assoc_;
@@ -375,8 +380,7 @@ void AssociationController::refresh_multi(EpochReport* rep) {
       assoc::kconn_settle_ap(compact_sc_, loads_, kp, kconn_plan_, multi_assoc_,
                              a, kconn_tx_[static_cast<size_t>(a)].data());
     }
-    tele_.engine_kconn_rebuilds.inc();
-    if (rep != nullptr) rep->kconn_rebuild = true;
+    rep.kconn_rebuild = true;
   } else {
     // Incremental dirty-region repair (DESIGN.md §16). Correctness rests on
     // the marking invariants (kconn_mark_dirty): every AP whose plan inputs
@@ -532,14 +536,9 @@ void AssociationController::refresh_multi(EpochReport* rep) {
                              a, kconn_tx_[static_cast<size_t>(a)].data());
     }
 
-    tele_.engine_kconn_repairs.inc();
-    tele_.engine_kconn_repaired_users.inc(dirty_rows.size());
-    tele_.engine_kconn_carried_users.inc(static_cast<uint64_t>(n) -
-                                         dirty_rows.size());
-    if (rep != nullptr) {
-      rep->kconn_repaired_users = static_cast<int>(dirty_rows.size());
-      rep->kconn_carried_users = n - static_cast<int>(dirty_rows.size());
-    }
+    rep.kconn_repaired = true;
+    rep.kconn_repaired_users = static_cast<int>(dirty_rows.size());
+    rep.kconn_carried_users = n - static_cast<int>(dirty_rows.size());
   }
 
   // 6. Fold the settled tx table into the load report in the reference
@@ -547,14 +546,13 @@ void AssociationController::refresh_multi(EpochReport* rep) {
   //    paths.
   multi_loads_ = assoc::kconn_collect_loads(compact_sc_, multi_assoc_, kconn_tx_);
   multi_valid_ = true;
-  if (rep != nullptr) {
-    rep->multi_served_users = multi_loads_.multi_served_users;
-    rep->mean_effective_rate = multi_loads_.mean_effective_rate;
-  }
+  rep.multi_served_users = multi_loads_.multi_served_users;
+  rep.mean_effective_rate = multi_loads_.mean_effective_rate;
 }
 
 assoc::Solution AssociationController::solve_full(const wlan::Scenario& sc,
-                                                  const std::vector<int>& row_slot) {
+                                                  const std::vector<int>& row_slot,
+                                                  EpochReport& rep) {
   if (sc.n_users() == 0) {
     return assoc::make_solution(cfg_.full_solver, sc, wlan::Association::none(0),
                                 cfg_.multi_rate);
@@ -574,17 +572,9 @@ assoc::Solution AssociationController::solve_full(const wlan::Scenario& sc,
       // greedy exactly (sets of one session never cover another session's
       // slots), so this path commits the same association as threads = 1.
       shards_.build(engine_);
-      core::ParallelStats pstats;
       greedy = core::parallel_greedy_cover(engine_, pool_, shard_ws_, shards_,
-                                           &pstats);
-      tele_.engine_parallel_solves.inc();
-      tele_.engine_parallel_tasks.inc(static_cast<uint64_t>(pstats.tasks));
-      tele_.engine_parallel_workers.set(pstats.workers);
-      tele_.engine_parallel_imbalance.set(pstats.imbalance);
-      tele_.engine_parallel_arena_peak_bytes.set(
-          static_cast<double>(pstats.arena_high_water_bytes));
-      tele_.engine_parallel_arena_reserved_bytes.set(
-          static_cast<double>(pstats.arena_reserved_bytes));
+                                           &rep.parallel);
+      rep.parallel_solved = true;
     } else {
       greedy = core::greedy_cover(engine_, solve_ws_);
     }
@@ -688,21 +678,16 @@ void AssociationController::flush_engine(const NetworkState& st) {
   engine_flush_pending_ = false;
 }
 
-void AssociationController::sync_engine_stats(EpochReport* rep) {
+void AssociationController::sync_engine_stats(EpochReport& rep) {
   const core::EngineStats& now = engine_.stats();
   const core::EngineStats& old = engine_stats_synced_;
-  if (rep != nullptr) {
-    rep->engine_groups_rebuilt = static_cast<int>(now.groups_rebuilt - old.groups_rebuilt);
-    rep->engine_sets_rebuilt = static_cast<int>(now.sets_rebuilt - old.sets_rebuilt);
-    rep->engine_sets_retired = static_cast<int>(now.sets_retired - old.sets_retired);
-    rep->engine_compacted = now.compactions > old.compactions;
-  }
-  tele_.engine_full_builds.inc(now.full_builds - old.full_builds);
-  tele_.engine_incremental_updates.inc(now.incremental_updates - old.incremental_updates);
-  tele_.engine_groups_rebuilt.inc(now.groups_rebuilt - old.groups_rebuilt);
-  tele_.engine_sets_rebuilt.inc(now.sets_rebuilt - old.sets_rebuilt);
-  tele_.engine_sets_retired.inc(now.sets_retired - old.sets_retired);
-  tele_.engine_compactions.inc(now.compactions - old.compactions);
+  const auto delta = [](uint64_t a, uint64_t b) { return static_cast<int>(a - b); };
+  rep.engine_full_builds = delta(now.full_builds, old.full_builds);
+  rep.engine_incremental_updates = delta(now.incremental_updates, old.incremental_updates);
+  rep.engine_groups_rebuilt = delta(now.groups_rebuilt, old.groups_rebuilt);
+  rep.engine_sets_rebuilt = delta(now.sets_rebuilt, old.sets_rebuilt);
+  rep.engine_sets_retired = delta(now.sets_retired, old.sets_retired);
+  rep.engine_compactions = delta(now.compactions, old.compactions);
   engine_stats_synced_ = now;
 }
 
@@ -742,23 +727,22 @@ bool AssociationController::admit(const JoinRequest& req) const {
 wlan::Association AssociationController::repair(const wlan::Association& carried,
                                                 const std::vector<int>& movable_rows,
                                                 const std::vector<int>& over_budget,
-                                                bool polish) {
+                                                bool polish, EpochReport& rep) {
   // AP-disjoint component tasks across the pool, peel + greedy + task-local
   // polish per shard (ctrl/repair_shard.hpp). Bitwise identical at any
   // thread count.
   RepairShardParams rp;
-  rp.enforce_budget = cfg_.enforce_budget;
   rp.multi_rate = cfg_.multi_rate;
   rp.polish = polish;
-  rp.polish_moves_per_dirty = cfg_.polish_moves_per_dirty;
   rp.polish_min_gain = cfg_.polish_min_gain;
   wlan::Association out = carried;
+  RepairShardStats stats;
   repair_sharded(compact_sc_, out.user_ap, movable_rows, over_budget, rp, pool_,
-                 repair_ws_, &last_repair_stats_);
-  tele_.engine_parallel_repair_calls.inc();
-  tele_.engine_parallel_repair_shards.inc(
-      static_cast<uint64_t>(last_repair_stats_.shards));
-  tele_.engine_parallel_repair_imbalance.set(last_repair_stats_.imbalance);
+                 repair_ws_, &stats);
+  ++rep.repair_calls;
+  rep.repair_shards_run += stats.shards;
+  rep.repair_shards = stats.shards;
+  rep.repair_imbalance = stats.imbalance;
   return out;
 }
 
@@ -766,7 +750,6 @@ std::vector<int> AssociationController::carried_over_budget(
     const wlan::Association& carried, const std::vector<int>& touched, bool all_aps,
     EpochReport& rep) {
   std::vector<int> over;
-  if (!cfg_.enforce_budget) return over;
   const wlan::Scenario& sc = compact_sc_;
   std::vector<int> refold;
   if (all_aps) {
@@ -946,14 +929,11 @@ void AssociationController::patch_loads(const wlan::Association& cand,
 
 EpochReport AssociationController::drain() {
   const auto t0 = std::chrono::steady_clock::now();
-  auto events = queue_.drain(cfg_.max_batch);
-  if (cfg_.batch_hook) cfg_.batch_hook(epoch_index_, events);
+  const auto events = queue_.drain(cfg_.max_batch);
 
   EpochReport rep;
   rep.epoch = epoch_index_;
   rep.events = static_cast<int>(events.size());
-  tele_.drains.inc();
-  tele_.events_ingested.inc(events.size());
 
   // --- 1. apply the batch to a scratch state (the epoch snapshot is simply
   // the committed state_/slot_ap_, restored by not committing). -------------
@@ -961,34 +941,30 @@ EpochReport AssociationController::drain() {
   std::map<int, int> slot_events;
   std::map<int, int> session_events;
   for (const auto& e : events) {
-    tele_.events_by_type[static_cast<size_t>(e.type)].inc();
+    ++rep.events_by_type[static_cast<size_t>(e.type)];
     if (e.type == EventType::kUserJoin) {
       const bool valid = e.user >= 0 && e.user <= next.n_slots() && e.session >= 0 &&
                          e.session < next.n_sessions() &&
                          std::isfinite(e.pos.x) && std::isfinite(e.pos.y) &&
                          (e.user == next.n_slots() || !next.slot(e.user).present);
       if (!valid) {
-        tele_.events_invalid.inc();
         ++rep.events_invalid;
         continue;
       }
       const bool ok = admit({e.user, e.pos, e.session});
       next.apply(e);
       if (ok) {
-        tele_.joins_admitted.inc();
+        ++rep.joins_admitted;
       } else {
         next.apply(Event::unsubscribe(e.user));
-        tele_.joins_rejected.inc();
         ++rep.rejected_joins;
       }
-      tele_.events_applied.inc();
       ++rep.events_applied;
       ++slot_events[e.user];
       continue;
     }
     try {
       next.apply(e);
-      tele_.events_applied.inc();
       ++rep.events_applied;
       if (e.type == EventType::kRateChange) {
         ++session_events[e.session];
@@ -996,7 +972,6 @@ EpochReport AssociationController::drain() {
         ++slot_events[e.user];
       }
     } catch (const std::invalid_argument&) {
-      tele_.events_invalid.inc();
       ++rep.events_invalid;
     }
   }
@@ -1010,13 +985,11 @@ EpochReport AssociationController::drain() {
     // user invisible (not wanting service) on both sides — e.g. a join and a
     // leave of the same user landing in one batch.
     if (before == after || (!before.wants_service() && !after.wants_service())) {
-      tele_.events_coalesced.inc(static_cast<uint64_t>(cnt));
       rep.events_coalesced += cnt;
     }
   }
   for (const auto& [s, cnt] : session_events) {
     if (s < state_.n_sessions() && state_.session_rate(s) == next.session_rate(s)) {
-      tele_.events_coalesced.inc(static_cast<uint64_t>(cnt));
       rep.events_coalesced += cnt;
     }
   }
@@ -1033,7 +1006,6 @@ EpochReport AssociationController::drain() {
   const auto dirty_slots = dirty_slots_from_delta(state_, next, slot_ap_, touched,
                                                   unserved_, compact_sc_, row_slot_);
   rep.dirty_users = static_cast<int>(dirty_slots.size());
-  tele_.dirty_region_size.record(static_cast<double>(dirty_slots.size()));
 
   bool stream_rate_changed = false;
   for (int t = 0; t < next.n_sessions(); ++t) {
@@ -1112,15 +1084,13 @@ EpochReport AssociationController::drain() {
     };
 
     // --- 4. incremental repair. --------------------------------------------
-    cand = repair(carried, dirty_rows, over_budget, /*polish=*/true);
-    tele_.incremental_repairs.inc();
+    cand = repair(carried, dirty_rows, over_budget, /*polish=*/true, rep);
     diff_repair();
 
     // --- 5. bounded signaling: roll back to the minimal forced repair. -----
     if (cfg_.max_reassoc_per_epoch >= 0 && cc.voluntary > cfg_.max_reassoc_per_epoch) {
       rep.rolled_back = true;
-      tele_.rollbacks.inc();
-      cand = repair(carried, unplaced, over_budget, /*polish=*/false);
+      cand = repair(carried, unplaced, over_budget, /*polish=*/false, rep);
       diff_repair();
     }
 
@@ -1132,10 +1102,10 @@ EpochReport AssociationController::drain() {
     if (cfg_.full_refresh_epochs > 0 && epochs_since_refresh_ >= cfg_.full_refresh_epochs &&
         sc.n_users() > 0) {
       flush_engine(next);
-      full = solve_full(sc, row_slot);
+      full = solve_full(sc, row_slot, rep);
       baseline_load_ = full->loads.total_load;
       epochs_since_refresh_ = 0;
-      tele_.baseline_refreshes.inc();
+      rep.baseline_refreshed = true;
     }
 
     const bool no_baseline = baseline_load_ <= 0.0 && cand_loads.total_load > 0.0;
@@ -1145,7 +1115,7 @@ EpochReport AssociationController::drain() {
     if (sc.n_users() > 0 && (no_baseline || degraded) && !rep.rolled_back) {
       if (!full) {
         flush_engine(next);
-        full = solve_full(sc, row_slot);
+        full = solve_full(sc, row_slot, rep);
         baseline_load_ = full->loads.total_load;
         epochs_since_refresh_ = 0;
       }
@@ -1168,7 +1138,6 @@ EpochReport AssociationController::drain() {
         std::vector<int> all_slots(static_cast<size_t>(next.n_slots()));
         std::iota(all_slots.begin(), all_slots.end(), 0);
         assoc::LocalSearchParams lp;
-        lp.enforce_budget = cfg_.enforce_budget;
         lp.multi_rate = cfg_.multi_rate;
         lp.target_total = baseline_load_ * (1.0 + 0.5 * cfg_.degradation_threshold);
         auto warm = assoc::local_search(sc, cand, lp, nullptr, &search_ws_);
@@ -1191,7 +1160,6 @@ EpochReport AssociationController::drain() {
           cc = wc;
           changed = std::move(all_slots);
           rep.warm_escalated = true;
-          tele_.warm_escalations.inc();
         } else {
           // Step 2: adopt the cold full solution outright.
           auto full_slot = slot_association(full->assoc, row_slot, next.n_slots());
@@ -1205,9 +1173,8 @@ EpochReport AssociationController::drain() {
             cc = fc;
             changed = std::move(all_slots);
             rep.used_full_solve = true;
-            tele_.full_solves.inc();
           } else {
-            tele_.full_solve_rejections.inc();
+            rep.full_solve_rejected = true;
           }
         }
       }
@@ -1243,39 +1210,15 @@ EpochReport AssociationController::drain() {
   std::swap(loads_, loads_next_);
   ++epoch_index_;
 
-  tele_.epochs.inc();
-  tele_.reassociations.inc(static_cast<uint64_t>(cc.total));
-  tele_.handoffs.inc(static_cast<uint64_t>(cc.handoffs));
-  tele_.forced_reassociations.inc(static_cast<uint64_t>(cc.forced));
-  tele_.reassoc_per_epoch.record(static_cast<double>(cc.total));
-
-  const int present = state_.n_present();
   rep.reassociations = cc.total;
   rep.handoffs = cc.handoffs;
   rep.forced_reassociations = cc.forced;
   rep.voluntary_reassociations = cc.voluntary;
-  rep.repair_shards = last_repair_stats_.shards;
-  rep.repair_imbalance = last_repair_stats_.imbalance;
-  rep.users_present = present;
-  rep.users_subscribed = state_.n_active();
-  rep.users_served = loads_.satisfied_users;
-  rep.total_load = loads_.total_load;
-  rep.max_load = loads_.max_load;
-  rep.baseline_load = baseline_load_;
-  refresh_multi(&rep);
-  sync_engine_stats(&rep);
+  refresh_multi(rep);
+  sync_engine_stats(rep);
+  report_state(rep);
   rep.drain_seconds = seconds_since(t0);
-
-  tele_.users_present.set(present);
-  tele_.users_subscribed.set(rep.users_subscribed);
-  tele_.users_served.set(rep.users_served);
-  tele_.total_load.set(loads_.total_load);
-  tele_.max_load.set(loads_.max_load);
-  tele_.baseline_load.set(baseline_load_);
-  tele_.degradation_pct.set(
-      baseline_load_ > 0.0 ? (loads_.total_load / baseline_load_ - 1.0) * 100.0 : 0.0);
-  tele_.queue_depth.set(static_cast<double>(queue_.size()));
-  tele_.drain_seconds.record(rep.drain_seconds);
+  tele_.record(rep);
   return rep;
 }
 

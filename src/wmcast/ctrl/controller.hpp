@@ -23,10 +23,13 @@
 //                   (MNU-C/BLA-C/MLA-C via assoc/registry), itself subject to
 //                   the signaling cap.
 //
-// Telemetry (ctrl/telemetry.hpp) records every step; dump via
-// telemetry().to_json().
+// Each epoch writes its facts once, into its EpochReport; the cumulative
+// Telemetry (ctrl/telemetry.hpp) folds the report in when the epoch commits,
+// so a drain that throws leaves telemetry unchanged, like the committed
+// state. Dump via telemetry().to_json().
 #pragma once
 
+#include <array>
 #include <functional>
 #include <string>
 #include <vector>
@@ -62,17 +65,10 @@ using AdmissionHook = std::function<bool(const JoinRequest& request,
                                          const std::vector<double>& ap_load,
                                          const NetworkState& state)>;
 
-/// Called on each drained batch (with the epoch index it will run as) before
-/// any event is validated or applied; free to mutate the batch — drop,
-/// duplicate, reorder, corrupt. The chaos harness (chaos/fault.hpp) injects
-/// faults through this seam; leave unset in production.
-using BatchHook = std::function<void(int epoch, std::vector<Event>& batch)>;
-
 struct ControllerConfig {
   /// Registry name of the full re-solve fallback (mla-c, bla-c, mnu-c, ...).
   std::string full_solver = "mla-c";
   bool multi_rate = true;
-  bool enforce_budget = true;
   /// Repaired total load may exceed the full-solve baseline by this relative
   /// factor before a full re-solve is triggered (0.10 = 10%).
   double degradation_threshold = 0.10;
@@ -86,12 +82,8 @@ struct ControllerConfig {
   /// Gate joins on per-AP load budgets (default hook) or `admission_hook`.
   bool admission_control = true;
   AdmissionHook admission_hook;  // overrides the built-in budget check
-  /// Mutates each drained batch before it is applied (fault injection).
-  BatchHook batch_hook;
   /// Max events per drain (<= 0 drains everything pending).
   int max_batch = 0;
-  /// Local-search polish budget: moves allowed per dirty user.
-  int polish_moves_per_dirty = 50;
   /// Minimum load improvement a polish move must buy to justify the handoff
   /// it costs (local_search's min_gain). 0 = accept any improvement.
   double polish_min_gain = 0.02;
@@ -123,14 +115,16 @@ struct ControllerConfig {
   bool kconn_incremental = true;
 };
 
-/// What one drain()/epoch did, for logs and benches. Cumulative counterparts
-/// live in Telemetry.
+/// What one drain()/epoch did, for logs and benches. Each fact is written
+/// once, here; Telemetry::record folds the report into the cumulative
+/// instruments when the epoch commits.
 struct EpochReport {
   int epoch = 0;
   int events = 0;             // drained this epoch
   int events_applied = 0;
   int events_invalid = 0;
   int events_coalesced = 0;   // net no-ops folded away
+  std::array<int, kEventTypeCount> events_by_type{};  // drained, by EventType
   int dirty_users = 0;
   // Projection rows queried from the AP grid (moved and newly served users);
   // every other row of the persistent projection was kept in place.
@@ -141,12 +135,15 @@ struct EpochReport {
   int rows_rechecked = 0;
   int aps_refolded = 0;
   bool used_full_solve = false;
+  bool full_solve_rejected = false;  // the cold solution was not adopted
+  bool baseline_refreshed = false;   // a full solve ran to refresh the baseline
   bool warm_escalated = false;  // the warm global polish was adopted
   bool rolled_back = false;   // signaling cap forced the minimal repair
   int reassociations = 0;     // slot AP changes committed (incl. joins/drops)
   int handoffs = 0;           // AP -> different-AP moves (802.11 Reassociation)
   int forced_reassociations = 0;
   int voluntary_reassociations = 0;
+  int joins_admitted = 0;
   int rejected_joins = 0;
   int users_present = 0;
   int users_subscribed = 0;
@@ -154,19 +151,29 @@ struct EpochReport {
   double total_load = 0.0;
   double max_load = 0.0;
   double baseline_load = 0.0;
+  int queue_depth = 0;        // events still queued after the drain
   double drain_seconds = 0.0;
-  // Sharded-repair accounting for the repair that produced the committed
-  // association.
+  // Sharded-repair accounting: the repair calls this epoch (2 on a rollback)
+  // and the tasks they dispatched, then the shards and imbalance of the
+  // repair that produced the committed association.
+  int repair_calls = 0;
+  int repair_shards_run = 0;
   int repair_shards = 0;
   double repair_imbalance = 0.0;
+  // The sharded full solve, when one ran (threads > 1; a drain runs at most
+  // one full solve).
+  bool parallel_solved = false;
+  core::ParallelStats parallel;
   // Coverage-engine maintenance this epoch (rebuild-vs-repair accounting):
   // how many APs' candidate sets were re-projected, and the set churn that
   // caused. Group rebuilds are deferred until a full solve needs the engine,
   // so the work lands on the epoch that flushed it; other epochs report zeros.
+  int engine_full_builds = 0;
+  int engine_incremental_updates = 0;
   int engine_groups_rebuilt = 0;
   int engine_sets_rebuilt = 0;
   int engine_sets_retired = 0;
-  bool engine_compacted = false;
+  int engine_compactions = 0;
   // k-connectivity overlay after this epoch (zeros when cfg.k == 1).
   int multi_served_users = 0;
   double mean_effective_rate = 0.0;
@@ -174,6 +181,7 @@ struct EpochReport {
   // the dirty-region repair, and whether a cold full re-derivation ran. A
   // kconn-quiescent epoch (nothing dirty) reports all zeros and keeps the
   // cached overlay.
+  bool kconn_repaired = false;  // the dirty-region repair ran
   int kconn_repaired_users = 0;
   int kconn_carried_users = 0;
   bool kconn_rebuild = false;
@@ -236,12 +244,16 @@ class AssociationController {
   };
 
   bool admit(const JoinRequest& req) const;
-  assoc::Solution solve_full(const wlan::Scenario& sc, const std::vector<int>& row_slot);
+  assoc::Solution solve_full(const wlan::Scenario& sc, const std::vector<int>& row_slot,
+                             EpochReport& rep);
   /// Sharded repair of `carried` (ctrl/repair_shard.hpp); repair_ws_.moved
   /// then lists the rows it may have re-placed.
   wlan::Association repair(const wlan::Association& carried,
                            const std::vector<int>& movable_rows,
-                           const std::vector<int>& over_budget, bool polish);
+                           const std::vector<int>& over_budget, bool polish,
+                           EpochReport& rep);
+  /// The committed state's gauges: users, loads, baseline and queue depth.
+  void report_state(EpochReport& rep) const;
   /// The APs whose load under `carried` exceeds the budget, ascending. Only
   /// the committed APs of `touched` slots (every AP when `all_aps`) are
   /// re-folded; every other AP kept its members and their rates, so its
@@ -283,19 +295,17 @@ class AssociationController {
   /// transpose, so the projection must already describe `st`: drain() calls
   /// this only after patch_projection(st, ...).
   void flush_engine(const NetworkState& st);
-  /// Folds engine stat deltas since the last sync into telemetry (and the
-  /// epoch report, when given).
-  void sync_engine_stats(EpochReport* rep);
+  /// Writes the engine stat deltas since the last sync into `rep`.
+  void sync_engine_stats(EpochReport& rep);
   /// Re-derives the k-connectivity overlay from the committed association
   /// (no-op at k == 1; kconn-quiescent epochs reuse the cached overlay).
-  /// Called with null from the constructor, with the epoch report from
-  /// drain(). Cold path (first derivation, session-rate change, or
+  /// Cold path (first derivation, session-rate change, or
   /// cfg_.kconn_incremental off): serial full re-derivation. Incremental
   /// path: re-plan dirty APs, re-derive only dirty rows (in parallel over
   /// AP-connected components), keep every other row's spliced served-set,
   /// re-settle only touched APs. Both paths produce bitwise
   /// identical overlays and load reports.
-  void refresh_multi(EpochReport* rep);
+  void refresh_multi(EpochReport& rep);
   /// Translates this epoch's applied slot deltas into kconn dirty marks
   /// (dirty APs whose stream plan may change + dirty slots whose served-set
   /// must be re-derived). Runs during drain() while the PRE-commit state_ /
@@ -340,7 +350,6 @@ class AssociationController {
   core::ShardWorkspaces shard_ws_;   // one solve workspace per pool lane
   core::AssocWorkspace search_ws_;  // the warm escalation's local search
   RepairWorkspace repair_ws_;
-  RepairShardStats last_repair_stats_;
   std::vector<int> dirty_groups_;
   std::vector<char> group_mark_;
   bool engine_flush_pending_ = false;

@@ -19,9 +19,7 @@ const char* event_type_name(EventType t) {
 }
 
 EventType event_type_from_name(const std::string& name) {
-  for (const EventType t : {EventType::kUserJoin, EventType::kUserLeave,
-                            EventType::kUserMove, EventType::kRateChange,
-                            EventType::kSubscribe, EventType::kUnsubscribe}) {
+  for (const EventType t : kAllEventTypes) {
     if (name == event_type_name(t)) return t;
   }
   util::require(false, "event_type_from_name: unknown event type '" + name + "'");

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -26,6 +27,12 @@ enum class EventType {
   kSubscribe,       // a present user (re)subscribes, possibly zapping sessions
   kUnsubscribe,     // a present user stops watching but stays in the network
 };
+
+inline constexpr EventType kAllEventTypes[] = {
+    EventType::kUserJoin,   EventType::kUserLeave, EventType::kUserMove,
+    EventType::kRateChange, EventType::kSubscribe, EventType::kUnsubscribe,
+};
+inline constexpr size_t kEventTypeCount = std::size(kAllEventTypes);
 
 /// Stable lowercase names used by trace files and telemetry keys.
 const char* event_type_name(EventType t);

@@ -16,6 +16,9 @@ namespace {
 /// accept/reject arithmetic, only against task-local totals.
 constexpr double kImproveEps = 1e-12;
 
+/// Polish budget: moves allowed per dirty user (at least 100 per task).
+constexpr int kPolishMovesPerDirty = 50;
+
 int find_root(std::vector<int>& parent, int a) {
   while (parent[static_cast<size_t>(a)] != a) {
     parent[static_cast<size_t>(a)] = parent[static_cast<size_t>(parent[static_cast<size_t>(a)])];
@@ -47,7 +50,7 @@ void polish_task(const wlan::Scenario& sc, const RepairShardParams& params,
     if (user_ap[static_cast<size_t>(u)] != wlan::kNoAp) ++served;
   }
   const int max_moves =
-      std::max(100, params.polish_moves_per_dirty * static_cast<int>(movers.size()));
+      std::max(100, kPolishMovesPerDirty * static_cast<int>(movers.size()));
 
   struct Key {
     double k1, k2;
@@ -90,8 +93,7 @@ void polish_task(const wlan::Scenario& sc, const RepairShardParams& params,
         double t = total;
         if (cur != wlan::kNoAp) t += d_un;
         t += d_pl;
-        const bool feasible =
-            !params.enforce_budget || util::fits_budget(la_w, sc.load_budget());
+        const bool feasible = util::fits_budget(la_w, sc.load_budget());
         const Key k{static_cast<double>(-probe_served), t};
         t -= d_pl;
         if (cur != wlan::kNoAp) t -= d_un;
@@ -156,11 +158,9 @@ void repair_sharded(const wlan::Scenario& sc, std::vector<int>& user_ap,
     const auto nb = sc.aps_of_user(u);
     for (size_t i = 1; i < nb.size(); ++i) unite(parent, nb[0], nb[i]);
   }
-  static const std::vector<int> kNone;
-  const std::vector<int>& peel_aps = params.enforce_budget ? over_budget : kNone;
   // Evictions turn an over-budget AP's members into movers: close the
   // component over every candidate AP they could land on.
-  for (const int a : peel_aps) {
+  for (const int a : over_budget) {
     build_members(a);
     for (const int u : members[static_cast<size_t>(a)]) {
       for (const int b : sc.aps_of_user(u)) unite(parent, a, b);
@@ -173,7 +173,7 @@ void repair_sharded(const wlan::Scenario& sc, std::vector<int>& user_ap,
     const auto nb = sc.aps_of_user(u);
     if (!nb.empty()) root_has_work[static_cast<size_t>(find_root(parent, nb[0]))] = 1;
   }
-  for (const int a : peel_aps) {
+  for (const int a : over_budget) {
     root_has_work[static_cast<size_t>(find_root(parent, a))] = 1;
   }
   std::vector<int> task_of_root(static_cast<size_t>(n_aps), -1);
@@ -254,7 +254,6 @@ void repair_sharded(const wlan::Scenario& sc, std::vector<int>& user_ap,
 
   assoc::PolicyParams pp;
   pp.objective = assoc::Objective::kTotalLoad;
-  pp.enforce_budget = params.enforce_budget;
   pp.multi_rate = params.multi_rate;
 
   pool.parallel_for(0, n_tasks, [&](int64_t b, int64_t e, int lane) {
@@ -277,29 +276,27 @@ void repair_sharded(const wlan::Scenario& sc, std::vector<int>& user_ap,
       }
 
       // Budget peel: evict whoever frees the most load and re-place them.
-      if (params.enforce_budget) {
-        for (const int a : aps) {
-          auto& m = members[static_cast<size_t>(a)];
-          double load = lw.model.load(a);
-          while (util::exceeds_budget(load, sc.load_budget()) && !m.empty()) {
-            int best_u = m.front();
-            double best_drop = -std::numeric_limits<double>::infinity();
-            for (const int u : m) {
-              const double drop =
-                  load - lw.model.load_without(a, sc.user_session(u), sc.link_rate(a, u));
-              if (drop > best_drop) {
-                best_drop = drop;
-                best_u = u;
-              }
+      for (const int a : aps) {
+        auto& m = members[static_cast<size_t>(a)];
+        double load = lw.model.load(a);
+        while (util::exceeds_budget(load, sc.load_budget()) && !m.empty()) {
+          int best_u = m.front();
+          double best_drop = -std::numeric_limits<double>::infinity();
+          for (const int u : m) {
+            const double drop =
+                load - lw.model.load_without(a, sc.user_session(u), sc.link_rate(a, u));
+            if (drop > best_drop) {
+              best_drop = drop;
+              best_u = u;
             }
-            m.erase(std::find(m.begin(), m.end(), best_u));
-            load = lw.model.remove(a, sc.user_session(best_u), sc.link_rate(a, best_u));
-            user_ap[static_cast<size_t>(best_u)] = wlan::kNoAp;
-            lw.pending.push_back(best_u);
-            if (movable[static_cast<size_t>(best_u)] == 0) {
-              movable[static_cast<size_t>(best_u)] = 1;
-              movers.push_back(best_u);
-            }
+          }
+          m.erase(std::find(m.begin(), m.end(), best_u));
+          load = lw.model.remove(a, sc.user_session(best_u), sc.link_rate(a, best_u));
+          user_ap[static_cast<size_t>(best_u)] = wlan::kNoAp;
+          lw.pending.push_back(best_u);
+          if (movable[static_cast<size_t>(best_u)] == 0) {
+            movable[static_cast<size_t>(best_u)] = 1;
+            movers.push_back(best_u);
           }
         }
       }

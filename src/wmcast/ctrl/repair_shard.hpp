@@ -41,13 +41,12 @@
 
 namespace wmcast::ctrl {
 
-/// Knobs mirrored from ControllerConfig for one repair call.
+/// Knobs mirrored from ControllerConfig for one repair call. The repair
+/// always enforces the scenario's per-AP load budget.
 struct RepairShardParams {
-  bool enforce_budget = true;
   bool multi_rate = true;
   /// Run the restricted local-search polish after peel + greedy.
   bool polish = true;
-  int polish_moves_per_dirty = 50;
   double polish_min_gain = 0.02;
 };
 
@@ -86,9 +85,8 @@ struct RepairShardStats {
 /// Repairs `user_ap` in place. `movable_rows` are the dirty users whose
 /// placement may change; users evicted by the budget peel join them.
 /// `over_budget` must list, ascending, every AP whose load under the entry
-/// `user_ap` exceeds the scenario budget (wlan::compute_loads' fold; read
-/// only when params.enforce_budget). On return ws.moved lists every row the
-/// call may have re-placed.
+/// `user_ap` exceeds the scenario budget (wlan::compute_loads' fold). On
+/// return ws.moved lists every row the call may have re-placed.
 void repair_sharded(const wlan::Scenario& sc, std::vector<int>& user_ap,
                     const std::vector<int>& movable_rows,
                     const std::vector<int>& over_budget,

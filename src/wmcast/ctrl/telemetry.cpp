@@ -1,185 +1,136 @@
 #include "wmcast/ctrl/telemetry.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <iterator>
-#include <limits>
+#include <string>
 
-#include "wmcast/ctrl/events.hpp"
-#include "wmcast/util/assert.hpp"
-#include "wmcast/util/histogram.hpp"
-#include "wmcast/util/stats.hpp"
+#include "wmcast/ctrl/controller.hpp"
 
 namespace wmcast::ctrl {
 
-// BucketHistogram is util::Histogram (util/histogram.cpp) since the serve
-// subsystem began sharing the instrument; only the Telemetry struct lives here.
-
-namespace {
-
-constexpr EventType kAllEventTypes[] = {
-    EventType::kUserJoin, EventType::kUserLeave,  EventType::kUserMove,
-    EventType::kRateChange, EventType::kSubscribe, EventType::kUnsubscribe,
-};
-
-}  // namespace
-
-Telemetry::Telemetry()
-    : events_by_type(std::size(kAllEventTypes)),
-      // Dirty regions: 1 .. ~4k users per drain.
-      dirty_region_size(BucketHistogram::exponential(1.0, 2.0, 13)),
-      // Re-associations committed per epoch, same scale.
-      reassoc_per_epoch(BucketHistogram::exponential(1.0, 2.0, 13)),
-      // Drain wall time: 1 µs .. ~16 s.
-      drain_seconds(BucketHistogram::exponential(1e-6, 4.0, 13)) {}
-
-util::Json Telemetry::to_json() const {
-  util::Json counters = util::Json::object();
-  counters.set("events_ingested", static_cast<int64_t>(events_ingested.value()));
-  counters.set("events_applied", static_cast<int64_t>(events_applied.value()));
-  counters.set("events_coalesced", static_cast<int64_t>(events_coalesced.value()));
-  counters.set("events_invalid", static_cast<int64_t>(events_invalid.value()));
-  util::Json by_type = util::Json::object();
-  for (const EventType t : kAllEventTypes) {
-    by_type.set(event_type_name(t),
-                static_cast<int64_t>(events_by_type[static_cast<size_t>(t)].value()));
+void Telemetry::record(const EpochReport& rep, bool drained) {
+  events_ingested.inc(rep.events);
+  events_applied.inc(rep.events_applied);
+  events_coalesced.inc(rep.events_coalesced);
+  events_invalid.inc(rep.events_invalid);
+  for (size_t t = 0; t < kEventTypeCount; ++t) events_by_type[t].inc(rep.events_by_type[t]);
+  drains.inc(drained);
+  epochs.inc(drained);
+  incremental_repairs.inc(rep.repair_calls > 0);
+  warm_escalations.inc(rep.warm_escalated);
+  full_solves.inc(rep.used_full_solve);
+  baseline_refreshes.inc(rep.baseline_refreshed);
+  rollbacks.inc(rep.rolled_back);
+  full_solve_rejections.inc(rep.full_solve_rejected);
+  joins_admitted.inc(rep.joins_admitted);
+  joins_rejected.inc(rep.rejected_joins);
+  reassociations.inc(rep.reassociations);
+  handoffs.inc(rep.handoffs);
+  forced_reassociations.inc(rep.forced_reassociations);
+  engine_full_builds.inc(rep.engine_full_builds);
+  engine_incremental_updates.inc(rep.engine_incremental_updates);
+  engine_groups_rebuilt.inc(rep.engine_groups_rebuilt);
+  engine_sets_rebuilt.inc(rep.engine_sets_rebuilt);
+  engine_sets_retired.inc(rep.engine_sets_retired);
+  engine_compactions.inc(rep.engine_compactions);
+  if (rep.parallel_solved) {
+    engine_parallel_solves.inc();
+    engine_parallel_tasks.inc(rep.parallel.tasks);
+    engine_parallel_workers.set(rep.parallel.workers);
+    engine_parallel_imbalance.set(rep.parallel.imbalance);
+    engine_parallel_arena_peak_bytes.set(static_cast<double>(rep.parallel.arena_high_water_bytes));
+    engine_parallel_arena_reserved_bytes.set(static_cast<double>(rep.parallel.arena_reserved_bytes));
   }
-  counters.set("events_by_type", std::move(by_type));
-  counters.set("drains", static_cast<int64_t>(drains.value()));
-  counters.set("epochs", static_cast<int64_t>(epochs.value()));
-  counters.set("incremental_repairs", static_cast<int64_t>(incremental_repairs.value()));
-  counters.set("warm_escalations", static_cast<int64_t>(warm_escalations.value()));
-  counters.set("full_solves", static_cast<int64_t>(full_solves.value()));
-  counters.set("baseline_refreshes", static_cast<int64_t>(baseline_refreshes.value()));
-  counters.set("rollbacks", static_cast<int64_t>(rollbacks.value()));
-  counters.set("full_solve_rejections",
-               static_cast<int64_t>(full_solve_rejections.value()));
-  counters.set("joins_admitted", static_cast<int64_t>(joins_admitted.value()));
-  counters.set("joins_rejected", static_cast<int64_t>(joins_rejected.value()));
-  counters.set("reassociations", static_cast<int64_t>(reassociations.value()));
-  counters.set("handoffs", static_cast<int64_t>(handoffs.value()));
-  counters.set("forced_reassociations",
-               static_cast<int64_t>(forced_reassociations.value()));
-  util::Json engine = util::Json::object();
-  engine.set("full_builds", static_cast<int64_t>(engine_full_builds.value()));
-  engine.set("incremental_updates",
-             static_cast<int64_t>(engine_incremental_updates.value()));
-  engine.set("groups_rebuilt", static_cast<int64_t>(engine_groups_rebuilt.value()));
-  engine.set("sets_rebuilt", static_cast<int64_t>(engine_sets_rebuilt.value()));
-  engine.set("sets_retired", static_cast<int64_t>(engine_sets_retired.value()));
-  engine.set("compactions", static_cast<int64_t>(engine_compactions.value()));
-  util::Json parallel = util::Json::object();
-  parallel.set("solves", static_cast<int64_t>(engine_parallel_solves.value()));
-  parallel.set("tasks", static_cast<int64_t>(engine_parallel_tasks.value()));
-  parallel.set("workers", engine_parallel_workers.value());
-  parallel.set("imbalance", engine_parallel_imbalance.value());
-  parallel.set("arena_peak_bytes", engine_parallel_arena_peak_bytes.value());
-  parallel.set("arena_reserved_bytes",
-               engine_parallel_arena_reserved_bytes.value());
-  parallel.set("repair_calls",
-               static_cast<int64_t>(engine_parallel_repair_calls.value()));
-  parallel.set("repair_shards",
-               static_cast<int64_t>(engine_parallel_repair_shards.value()));
-  parallel.set("repair_imbalance", engine_parallel_repair_imbalance.value());
-  engine.set("parallel", std::move(parallel));
-  util::Json kconn = util::Json::object();
-  kconn.set("repairs", static_cast<int64_t>(engine_kconn_repairs.value()));
-  kconn.set("repaired_users",
-            static_cast<int64_t>(engine_kconn_repaired_users.value()));
-  kconn.set("carried_users",
-            static_cast<int64_t>(engine_kconn_carried_users.value()));
-  kconn.set("engine_rebuilds", static_cast<int64_t>(engine_kconn_rebuilds.value()));
-  engine.set("kconn", std::move(kconn));
-  counters.set("engine", std::move(engine));
-
-  util::Json gauges = util::Json::object();
-  gauges.set("users_present", users_present.value());
-  gauges.set("users_subscribed", users_subscribed.value());
-  gauges.set("users_served", users_served.value());
-  gauges.set("total_load", total_load.value());
-  gauges.set("max_load", max_load.value());
-  gauges.set("baseline_load", baseline_load.value());
-  gauges.set("degradation_pct", degradation_pct.value());
-  gauges.set("queue_depth", queue_depth.value());
-
-  util::Json histograms = util::Json::object();
-  histograms.set("dirty_region_size", dirty_region_size.to_json());
-  histograms.set("reassoc_per_epoch", reassoc_per_epoch.to_json());
-  histograms.set("drain_seconds", drain_seconds.to_json());
-
-  util::Json j = util::Json::object();
-  j.set("schema", kTelemetrySchema);
-  j.set("counters", std::move(counters));
-  j.set("gauges", std::move(gauges));
-  j.set("histograms", std::move(histograms));
-  return j;
+  if (rep.repair_calls > 0) {
+    engine_parallel_repair_calls.inc(rep.repair_calls);
+    engine_parallel_repair_shards.inc(rep.repair_shards_run);
+    engine_parallel_repair_imbalance.set(rep.repair_imbalance);
+  }
+  engine_kconn_repairs.inc(rep.kconn_repaired);
+  engine_kconn_repaired_users.inc(rep.kconn_repaired_users);
+  engine_kconn_carried_users.inc(rep.kconn_carried_users);
+  engine_kconn_rebuilds.inc(rep.kconn_rebuild);
+  users_present.set(rep.users_present);
+  users_subscribed.set(rep.users_subscribed);
+  users_served.set(rep.users_served);
+  total_load.set(rep.total_load);
+  max_load.set(rep.max_load);
+  baseline_load.set(rep.baseline_load);
+  degradation_pct.set(
+      rep.baseline_load > 0.0 ? (rep.total_load / rep.baseline_load - 1.0) * 100.0 : 0.0);
+  queue_depth.set(rep.queue_depth);
+  if (drained) {
+    dirty_region_size.record(rep.dirty_users);
+    reassoc_per_epoch.record(rep.reassociations);
+    drain_seconds.record(rep.drain_seconds);
+  }
 }
 
-std::string Telemetry::to_text() const {
-  std::string out;
-  char buf[160];
-  const auto line = [&](const char* k, uint64_t v) {
-    std::snprintf(buf, sizeof(buf), "  %-24s %llu\n", k,
-                  static_cast<unsigned long long>(v));
-    out += buf;
-  };
-  out += "counters:\n";
-  line("events_ingested", events_ingested.value());
-  line("events_applied", events_applied.value());
-  line("events_coalesced", events_coalesced.value());
-  line("events_invalid", events_invalid.value());
-  line("drains", drains.value());
-  line("epochs", epochs.value());
-  line("incremental_repairs", incremental_repairs.value());
-  line("warm_escalations", warm_escalations.value());
-  line("full_solves", full_solves.value());
-  line("baseline_refreshes", baseline_refreshes.value());
-  line("rollbacks", rollbacks.value());
-  line("full_solve_rejections", full_solve_rejections.value());
-  line("joins_admitted", joins_admitted.value());
-  line("joins_rejected", joins_rejected.value());
-  line("reassociations", reassociations.value());
-  line("handoffs", handoffs.value());
-  line("forced_reassociations", forced_reassociations.value());
-  line("engine_full_builds", engine_full_builds.value());
-  line("engine_incremental_updates", engine_incremental_updates.value());
-  line("engine_groups_rebuilt", engine_groups_rebuilt.value());
-  line("engine_sets_rebuilt", engine_sets_rebuilt.value());
-  line("engine_sets_retired", engine_sets_retired.value());
-  line("engine_compactions", engine_compactions.value());
-  line("engine_parallel_solves", engine_parallel_solves.value());
-  line("engine_parallel_tasks", engine_parallel_tasks.value());
-  line("engine_parallel_repair_calls", engine_parallel_repair_calls.value());
-  line("engine_parallel_repair_shards", engine_parallel_repair_shards.value());
-  line("engine_kconn_repairs", engine_kconn_repairs.value());
-  line("engine_kconn_repaired_users", engine_kconn_repaired_users.value());
-  line("engine_kconn_carried_users", engine_kconn_carried_users.value());
-  line("engine_kconn_rebuilds", engine_kconn_rebuilds.value());
-  out += "gauges:\n";
-  const auto gline = [&](const char* k, double v) {
-    std::snprintf(buf, sizeof(buf), "  %-24s %s\n", k, util::fmt(v, 4).c_str());
-    out += buf;
-  };
-  gline("users_present", users_present.value());
-  gline("users_subscribed", users_subscribed.value());
-  gline("users_served", users_served.value());
-  gline("total_load", total_load.value());
-  gline("max_load", max_load.value());
-  gline("baseline_load", baseline_load.value());
-  gline("degradation_pct", degradation_pct.value());
-  gline("queue_depth", queue_depth.value());
-  gline("engine_parallel_workers", engine_parallel_workers.value());
-  gline("engine_parallel_imbalance", engine_parallel_imbalance.value());
-  gline("engine_parallel_repair_imbalance",
-        engine_parallel_repair_imbalance.value());
-  gline("engine_parallel_arena_peak_bytes",
-        engine_parallel_arena_peak_bytes.value());
-  gline("engine_parallel_arena_reserved_bytes",
-        engine_parallel_arena_reserved_bytes.value());
-  out += "dirty_region_size:\n" + dirty_region_size.render();
-  out += "reassoc_per_epoch:\n" + reassoc_per_epoch.render();
-  out += "drain_seconds:\n" + drain_seconds.render();
-  return out;
+const std::vector<util::MetricRow<Telemetry>>& Telemetry::rows() {
+  using T = Telemetry;
+  static const std::vector<util::MetricRow<T>> rows = [] {
+    std::vector<util::MetricRow<T>> r = {
+        {"counters.events_ingested", &T::events_ingested},
+        {"counters.events_applied", &T::events_applied},
+        {"counters.events_coalesced", &T::events_coalesced},
+        {"counters.events_invalid", &T::events_invalid},
+    };
+    for (const EventType e : kAllEventTypes) {
+      r.emplace_back(std::string("counters.events_by_type.") + event_type_name(e),
+                     [e](const T& t) { return t.events_by_type[size_t(e)].to_json(); });
+    }
+    r.insert(r.end(), {
+        {"counters.drains", &T::drains},
+        {"counters.epochs", &T::epochs},
+        {"counters.incremental_repairs", &T::incremental_repairs},
+        {"counters.warm_escalations", &T::warm_escalations},
+        {"counters.full_solves", &T::full_solves},
+        {"counters.baseline_refreshes", &T::baseline_refreshes},
+        {"counters.rollbacks", &T::rollbacks},
+        {"counters.full_solve_rejections", &T::full_solve_rejections},
+        {"counters.joins_admitted", &T::joins_admitted},
+        {"counters.joins_rejected", &T::joins_rejected},
+        {"counters.reassociations", &T::reassociations},
+        {"counters.handoffs", &T::handoffs},
+        {"counters.forced_reassociations", &T::forced_reassociations},
+        {"counters.engine.full_builds", &T::engine_full_builds},
+        {"counters.engine.incremental_updates", &T::engine_incremental_updates},
+        {"counters.engine.groups_rebuilt", &T::engine_groups_rebuilt},
+        {"counters.engine.sets_rebuilt", &T::engine_sets_rebuilt},
+        {"counters.engine.sets_retired", &T::engine_sets_retired},
+        {"counters.engine.compactions", &T::engine_compactions},
+        {"counters.engine.parallel.solves", &T::engine_parallel_solves, false},
+        {"counters.engine.parallel.tasks", &T::engine_parallel_tasks, false},
+        {"counters.engine.parallel.workers", &T::engine_parallel_workers, false},
+        {"counters.engine.parallel.imbalance", &T::engine_parallel_imbalance, false},
+        {"counters.engine.parallel.arena_peak_bytes", &T::engine_parallel_arena_peak_bytes,
+         false},
+        {"counters.engine.parallel.arena_reserved_bytes",
+         &T::engine_parallel_arena_reserved_bytes, false},
+        {"counters.engine.parallel.repair_calls", &T::engine_parallel_repair_calls},
+        {"counters.engine.parallel.repair_shards", &T::engine_parallel_repair_shards},
+        {"counters.engine.parallel.repair_imbalance", &T::engine_parallel_repair_imbalance},
+        {"counters.engine.kconn.repairs", &T::engine_kconn_repairs},
+        {"counters.engine.kconn.repaired_users", &T::engine_kconn_repaired_users},
+        {"counters.engine.kconn.carried_users", &T::engine_kconn_carried_users},
+        {"counters.engine.kconn.engine_rebuilds", &T::engine_kconn_rebuilds},
+        {"gauges.users_present", &T::users_present},
+        {"gauges.users_subscribed", &T::users_subscribed},
+        {"gauges.users_served", &T::users_served},
+        {"gauges.total_load", &T::total_load},
+        {"gauges.max_load", &T::max_load},
+        {"gauges.baseline_load", &T::baseline_load},
+        {"gauges.degradation_pct", &T::degradation_pct},
+        {"gauges.queue_depth", &T::queue_depth},
+        {"histograms.dirty_region_size", &T::dirty_region_size},
+        {"histograms.reassoc_per_epoch", &T::reassoc_per_epoch},
+        {"histograms.drain_seconds", &T::drain_seconds, false},
+    });
+    return r;
+  }();
+  return rows;
+}
+
+util::Json Telemetry::to_json(bool include_variant) const {
+  return util::metrics_json(kTelemetrySchema, rows(), *this, include_variant);
 }
 
 }  // namespace wmcast::ctrl

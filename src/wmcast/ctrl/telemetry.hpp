@@ -1,55 +1,37 @@
 // Built-in telemetry for the association controller: monotonic counters,
 // gauges, and bucketed histograms (log-scaled latency / size distributions),
 // dumped as JSON under the documented `wmcast-ctrl-telemetry/v1` schema (see
-// DESIGN.md §Controller) or rendered as text via util/histogram.
+// DESIGN.md §12). The schema is the row table Telemetry::rows(). The
+// controller writes each epoch's facts once, in its EpochReport, and folds
+// the report in with record() when the epoch commits.
 #pragma once
 
-#include <cstdint>
-#include <string>
+#include <array>
 #include <vector>
 
-#include "wmcast/util/histogram.hpp"
-#include "wmcast/util/json.hpp"
+#include "wmcast/ctrl/events.hpp"
+#include "wmcast/util/metrics.hpp"
 
 namespace wmcast::ctrl {
 
 inline constexpr const char* kTelemetrySchema = "wmcast-ctrl-telemetry/v1";
 
-/// Monotonically increasing event count.
-class Counter {
- public:
-  void inc(uint64_t n = 1) { v_ += n; }
-  uint64_t value() const { return v_; }
-
- private:
-  uint64_t v_ = 0;
-};
-
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void set(double v) { v_ = v; }
-  double value() const { return v_; }
-
- private:
-  double v_ = 0.0;
-};
-
-/// The bucketed histogram now lives in util (shared with the serve
-/// subsystem's latency instruments); the alias keeps the established
-/// controller-facing name.
+using util::Counter;
+using util::Gauge;
+/// The bucketed histogram lives in util (shared with the serve subsystem's
+/// latency instruments); the alias keeps the controller-facing name.
 using BucketHistogram = util::Histogram;
 
-/// The controller's fixed instrument set. Field names match the JSON keys.
-struct Telemetry {
-  Telemetry();
+struct EpochReport;  // ctrl/controller.hpp
 
+/// The controller's cumulative instrument set.
+struct Telemetry {
   // Counters.
   Counter events_ingested;        // drained from the queue
   Counter events_applied;         // accepted state mutations
   Counter events_coalesced;       // folded away within a drain (net no-ops)
   Counter events_invalid;         // rejected as malformed
-  std::vector<Counter> events_by_type;  // indexed by EventType
+  std::array<Counter, kEventTypeCount> events_by_type;  // indexed by EventType
   Counter drains;
   Counter epochs;
   Counter incremental_repairs;
@@ -64,8 +46,8 @@ struct Telemetry {
   Counter handoffs;               // AP -> different-AP moves (Reassociation frames)
   Counter forced_reassociations;  // subset forced by invalidated associations
 
-  // Coverage-engine maintenance (rebuild-vs-repair accounting, mirrored from
-  // core::EngineStats by the controller; additive keys under the v1 schema).
+  // Coverage-engine maintenance (rebuild-vs-repair accounting, from
+  // core::EngineStats).
   Counter engine_full_builds;          // whole-system projections
   Counter engine_incremental_updates;  // dirty-group update passes
   Counter engine_groups_rebuilt;       // AP candidate-set rebuilds
@@ -73,21 +55,20 @@ struct Telemetry {
   Counter engine_sets_retired;         // sets tombstoned by those rebuilds
   Counter engine_compactions;          // arena reclamation passes
 
-  // Sharded parallel solve accounting (core/parallel.hpp; additive keys under
-  // counters.engine.parallel). Zero unless the controller runs with threads > 1.
+  // Sharded parallel solve accounting (core/parallel.hpp). Zero unless the
+  // controller runs with threads > 1, so these rows are not invariant.
   Counter engine_parallel_solves;      // sharded full solves executed
   Counter engine_parallel_tasks;       // shards dispatched across all of them
 
-  // Sharded incremental-repair accounting (ctrl/repair_shard.hpp; additive
-  // keys under counters.engine.parallel). Unlike the solve counters these are
-  // thread-invariant: the task partition is fixed before dispatch, so the
-  // same workload reports the same numbers at any --threads.
+  // Sharded incremental-repair accounting (ctrl/repair_shard.hpp). Unlike
+  // the solve counters these are invariant: the task partition is fixed
+  // before dispatch, so the same workload reports the same numbers at any
+  // --threads.
   Counter engine_parallel_repair_calls;   // sharded repair invocations
   Counter engine_parallel_repair_shards;  // repair tasks dispatched across them
 
-  // Persistent k-connectivity engine accounting (DESIGN.md §16; additive keys
-  // under counters.engine.kconn). Thread-invariant: dirty regions are a pure
-  // function of the applied state deltas, never of the pool schedule.
+  // Persistent k-connectivity engine accounting (DESIGN.md §16). Invariant:
+  // dirty regions are a pure function of the applied state deltas.
   Counter engine_kconn_repairs;         // dirty-region overlay repairs
   Counter engine_kconn_repaired_users;  // users re-derived across them
   Counter engine_kconn_carried_users;   // users carried untouched across them
@@ -108,15 +89,22 @@ struct Telemetry {
   Gauge engine_parallel_arena_peak_bytes;      // summed lane-arena high-water marks
   Gauge engine_parallel_arena_reserved_bytes;  // summed lane-arena block capacity
 
-  // Histograms.
-  BucketHistogram dirty_region_size;
-  BucketHistogram reassoc_per_epoch;
-  BucketHistogram drain_seconds;
+  // Histograms: dirty regions and re-associations per epoch span 1 .. ~4k,
+  // drain wall time 1 µs .. ~16 s.
+  BucketHistogram dirty_region_size = BucketHistogram::exponential(1.0, 2.0, 13);
+  BucketHistogram reassoc_per_epoch = BucketHistogram::exponential(1.0, 2.0, 13);
+  BucketHistogram drain_seconds = BucketHistogram::exponential(1e-6, 4.0, 13);
 
-  /// Serializes under the wmcast-ctrl-telemetry/v1 schema.
-  util::Json to_json() const;
-  /// Human-readable dump (counters table + rendered histograms).
-  std::string to_text() const;
+  /// Folds one committed epoch into the instruments. `drained` is false for
+  /// the constructor's seed solve, which counts no drain or epoch and records
+  /// no histogram sample.
+  void record(const EpochReport& rep, bool drained = true);
+
+  /// The schema: one row per instrument, in document order.
+  static const std::vector<util::MetricRow<Telemetry>>& rows();
+  /// Serializes under wmcast-ctrl-telemetry/v1. include_variant = false keeps
+  /// only the invariant rows: no parallel-solve stats and no drain_seconds.
+  util::Json to_json(bool include_variant = true) const;
 };
 
 }  // namespace wmcast::ctrl

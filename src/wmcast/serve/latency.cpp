@@ -1,111 +1,41 @@
 #include "wmcast/serve/latency.hpp"
 
-#include <cstdio>
-
-#include "wmcast/util/stats.hpp"
-
 namespace wmcast::serve {
 
-ServeTelemetry::ServeTelemetry()
-    // Latency: 1 µs .. ~8 s, factor-2 ladder (SLO quantiles interpolate
-    // within a bucket, so the ladder sets their resolution).
-    : latency_s(util::Histogram::exponential(1e-6, 2.0, 24)),
-      queue_wait_s(util::Histogram::exponential(1e-6, 2.0, 24)),
-      decision_s(util::Histogram::exponential(1e-6, 2.0, 24)),
-      // Batches: 1 .. ~32k events.
-      batch_size(util::Histogram::exponential(1.0, 2.0, 16)),
-      // Backlog at batch close, same scale.
-      queue_depth(util::Histogram::exponential(1.0, 2.0, 16)),
-      // Service: 1 µs .. ~16 s, mirroring ctrl drain_seconds.
-      service_s(util::Histogram::exponential(1e-6, 4.0, 13)) {}
-
-double ServeTelemetry::virtual_events_per_s() const {
-  if (virtual_duration_s <= 0.0) return 0.0;
-  return static_cast<double>(accepted.value()) / virtual_duration_s;
-}
-
-double ServeTelemetry::wall_events_per_s() const {
-  if (wall_elapsed_s <= 0.0) return 0.0;
-  return static_cast<double>(accepted.value()) / wall_elapsed_s;
-}
-
-util::Json ServeTelemetry::to_json(bool include_wall) const {
-  util::Json counters = util::Json::object();
-  counters.set("offered", static_cast<int64_t>(offered.value()));
-  counters.set("accepted", static_cast<int64_t>(accepted.value()));
-  counters.set("rejected", static_cast<int64_t>(rejected.value()));
-  counters.set("shed", static_cast<int64_t>(shed.value()));
-  counters.set("coalesced", static_cast<int64_t>(coalesced.value()));
-  counters.set("submitted", static_cast<int64_t>(submitted.value()));
-  counters.set("batches", static_cast<int64_t>(batches.value()));
-
-  util::Json histograms = util::Json::object();
-  histograms.set("latency_s", latency_s.to_json());
-  histograms.set("queue_wait_s", queue_wait_s.to_json());
-  histograms.set("decision_s", decision_s.to_json());
-  histograms.set("batch_size", batch_size.to_json());
-  histograms.set("queue_depth", queue_depth.to_json());
-  histograms.set("service_s", service_s.to_json());
-
-  util::Json virt = util::Json::object();
-  virt.set("duration_s", virtual_duration_s);
-  virt.set("events_per_s", virtual_events_per_s());
-
-  util::Json pipeline = util::Json::object();
-  pipeline.set("overlapped", static_cast<int64_t>(pipeline_overlapped.value()));
-  pipeline.set("occupancy",
-               batches.value() > 0
-                   ? static_cast<double>(pipeline_overlapped.value()) /
-                         static_cast<double>(batches.value())
-                   : 0.0);
-
-  util::Json j = util::Json::object();
-  j.set("schema", kServeTelemetrySchema);
-  j.set("counters", std::move(counters));
-  j.set("histograms", std::move(histograms));
-  j.set("virtual", std::move(virt));
-  j.set("pipeline", std::move(pipeline));
-  if (include_wall) {
-    util::Json wall = util::Json::object();
-    wall.set("elapsed_s", wall_elapsed_s);
-    wall.set("events_per_s", wall_events_per_s());
-    j.set("wall", std::move(wall));
-  }
-  return j;
-}
-
-std::string ServeTelemetry::to_text() const {
-  std::string out;
-  char buf[160];
-  const auto line = [&](const char* k, uint64_t v) {
-    std::snprintf(buf, sizeof(buf), "  %-12s %llu\n", k,
-                  static_cast<unsigned long long>(v));
-    out += buf;
+const std::vector<util::MetricRow<ServeTelemetry>>& ServeTelemetry::rows() {
+  using T = ServeTelemetry;
+  using util::Json;
+  static const std::vector<util::MetricRow<T>> rows = {
+      {"counters.offered", &T::offered},
+      {"counters.accepted", &T::accepted},
+      {"counters.rejected", &T::rejected},
+      {"counters.shed", &T::shed},
+      {"counters.coalesced", &T::coalesced},
+      {"counters.submitted", &T::submitted},
+      {"counters.batches", &T::batches},
+      {"histograms.latency_s", &T::latency_s},
+      {"histograms.queue_wait_s", &T::queue_wait_s},
+      {"histograms.decision_s", &T::decision_s},
+      {"histograms.batch_size", &T::batch_size},
+      {"histograms.queue_depth", &T::queue_depth},
+      {"histograms.service_s", &T::service_s},
+      {"virtual.duration_s", [](const T& t) -> Json { return t.virtual_duration_s; }},
+      {"virtual.events_per_s", [](const T& t) -> Json { return t.virtual_events_per_s(); }},
+      {"pipeline.overlapped", &T::pipeline_overlapped},
+      {"pipeline.occupancy",
+       [](const T& t) -> Json {
+         return t.batches.value() > 0 ? static_cast<double>(t.pipeline_overlapped.value()) /
+                                            static_cast<double>(t.batches.value())
+                                      : 0.0;
+       }},
+      {"wall.elapsed_s", [](const T& t) -> Json { return t.wall_elapsed_s; }, false},
+      {"wall.events_per_s", [](const T& t) -> Json { return t.wall_events_per_s(); }, false},
   };
-  out += "serve counters:\n";
-  line("offered", offered.value());
-  line("accepted", accepted.value());
-  line("rejected", rejected.value());
-  line("shed", shed.value());
-  line("coalesced", coalesced.value());
-  line("submitted", submitted.value());
-  line("batches", batches.value());
-  line("overlapped", pipeline_overlapped.value());
-  std::snprintf(buf, sizeof(buf),
-                "latency p50 %s  p99 %s  p999 %s  (events/sec virtual %s, wall %s)\n",
-                util::fmt(latency_s.quantile(0.5), 4).c_str(),
-                util::fmt(latency_s.quantile(0.99), 4).c_str(),
-                util::fmt(latency_s.quantile(0.999), 4).c_str(),
-                util::fmt(virtual_events_per_s(), 4).c_str(),
-                util::fmt(wall_events_per_s(), 4).c_str());
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "queue_wait p99 %s  decision p99 %s\n",
-                util::fmt(queue_wait_s.quantile(0.99), 4).c_str(),
-                util::fmt(decision_s.quantile(0.99), 4).c_str());
-  out += buf;
-  out += "latency_s:\n" + latency_s.render();
-  return out;
+  return rows;
+}
+
+util::Json ServeTelemetry::to_json(bool include_variant) const {
+  return util::metrics_json(kServeTelemetrySchema, rows(), *this, include_variant);
 }
 
 }  // namespace wmcast::serve

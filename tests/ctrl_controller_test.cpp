@@ -69,23 +69,6 @@ TEST(Controller, NonFiniteEventsAreCountedNotFatal) {
   EXPECT_EQ(c.state().n_slots(), 2) << "the corrupted join must not take a slot";
 }
 
-TEST(Controller, BatchHookSeesAndMutatesEachDrain) {
-  ControllerConfig cfg;
-  std::vector<int> hook_epochs;
-  cfg.batch_hook = [&](int epoch, std::vector<Event>& batch) {
-    hook_epochs.push_back(epoch);
-    batch.clear();  // drop everything: the epoch must be quiescent
-  };
-  AssociationController c(two_ap_scenario({{10, 0}, {120, 0}}, {0, 1}), cfg);
-  c.submit({Event::join(2, {20, 0}, 0)});
-  const auto rep = c.drain();
-  EXPECT_EQ(rep.events, 0) << "hook dropped the batch before accounting";
-  EXPECT_EQ(rep.events_applied, 0);
-  EXPECT_EQ(c.state().n_slots(), 2);
-  c.drain();
-  EXPECT_EQ(hook_epochs, (std::vector<int>{0, 1}));
-}
-
 TEST(Controller, SignalingCapRollsBackVoluntaryMoves) {
   // u0 starts on AP 0 (10 m, 54 Mbps), then walks to 140 m from AP 0 /
   // 10 m from AP 1. AP 0 still reaches it (12 Mbps), so moving to AP 1 is

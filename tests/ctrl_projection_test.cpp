@@ -13,8 +13,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "wmcast/chaos/oracles.hpp"
 #include "wmcast/ctrl/controller.hpp"
 #include "wmcast/util/fp.hpp"
 #include "wmcast/util/rng.hpp"
@@ -115,9 +117,7 @@ ColdRepair cold_repair(const NetworkState& before, const std::vector<int>& befor
   }
 
   RepairShardParams rp;
-  rp.enforce_budget = cfg.enforce_budget;
   rp.multi_rate = cfg.multi_rate;
-  rp.polish_moves_per_dirty = cfg.polish_moves_per_dirty;
   rp.polish_min_gain = cfg.polish_min_gain;
   util::ThreadPool pool(1);
   RepairWorkspace ws;
@@ -359,7 +359,8 @@ TEST(PersistentProjection, ConstructorProjectionIsCold) {
 // full solver refuses the instance: single-session MNU on two sessions. It is
 // first called once the seed's zero users have joined (no baseline yet). At
 // k = 2 the overlay's row-space served-sets, spliced with the rows, are
-// restored with the projection.
+// restored with the projection. Telemetry folds at the commit, so the throw
+// leaves it unchanged too, and its conservation laws hold.
 TEST(PersistentProjection, ThrowAfterPatchReprojectsCommittedState) {
   const wlan::Scenario empty = wlan::Scenario::from_geometry(
       {{0, 0}, {150, 0}}, {}, {}, {1.0, 1.0}, wlan::RateTable::ieee80211a());
@@ -368,8 +369,11 @@ TEST(PersistentProjection, ThrowAfterPatchReprojectsCommittedState) {
     cfg.full_solver = "mnu-1session";
     cfg.k = k;
     AssociationController c(empty, cfg);
+    const std::string telemetry = c.telemetry().to_json().dump();
     c.submit({Event::join(0, {10, 0}, 0), Event::join(1, {140, 0}, 1)});
     EXPECT_THROW(c.drain(), std::invalid_argument);
+    EXPECT_EQ(c.telemetry().to_json().dump(), telemetry) << "k=" << k;
+    EXPECT_EQ(chaos::failures_to_text(chaos::check_telemetry_conservation(c)), "");
     EXPECT_EQ(c.state().n_slots(), 0) << "nothing was committed";
     EXPECT_EQ(c.scenario().n_users(), 0);
     EXPECT_EQ(c.multi_assoc().n_users(), k >= 2 ? c.scenario().n_users() : 0);

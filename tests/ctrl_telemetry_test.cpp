@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <stdexcept>
+#include <string>
+
+#include "wmcast/ctrl/controller.hpp"
+#include "wmcast/serve/latency.hpp"
 
 namespace wmcast::ctrl {
 namespace {
@@ -112,13 +117,97 @@ TEST(Telemetry, JsonMatchesTheDocumentedSchema) {
   EXPECT_EQ(reparsed.find("schema")->as_string(), kTelemetrySchema);
 }
 
-TEST(Telemetry, TextRenderingMentionsEveryInstrument) {
+// One row per instrument, each path once. Exactly the parallel-solve stats
+// and the drain wall time vary with --threads or the clock; the invariant
+// dump drops them and nothing else.
+TEST(Telemetry, RowsCoverEveryInstrumentOnce) {
+  std::set<std::string> paths;
+  std::set<std::string> variant;
+  for (const auto& row : Telemetry::rows()) {
+    EXPECT_TRUE(paths.insert(row.path).second) << "duplicate row " << row.path;
+    if (!row.invariant) variant.insert(row.path);
+  }
+  EXPECT_EQ(paths.size(), 53u);
+  const std::set<std::string> expected = {
+      "counters.engine.parallel.solves",
+      "counters.engine.parallel.tasks",
+      "counters.engine.parallel.workers",
+      "counters.engine.parallel.imbalance",
+      "counters.engine.parallel.arena_peak_bytes",
+      "counters.engine.parallel.arena_reserved_bytes",
+      "histograms.drain_seconds",
+  };
+  EXPECT_EQ(variant, expected);
+
+  const Telemetry t;
+  const auto all = t.to_json();
+  const auto invariant = t.to_json(/*include_variant=*/false);
+  const auto* parallel = invariant.find("counters")->find("engine")->find("parallel");
+  EXPECT_EQ(parallel->find("solves"), nullptr);
+  EXPECT_NE(parallel->find("repair_shards"), nullptr);
+  EXPECT_EQ(invariant.find("histograms")->find("drain_seconds"), nullptr);
+  EXPECT_EQ(invariant.find("histograms")->size(), 2u);
+  EXPECT_EQ(all.find("counters")->find("engine")->find("parallel")->size(), 9u);
+
+  std::set<std::string> serve_variant;
+  for (const auto& row : serve::ServeTelemetry::rows()) {
+    if (!row.invariant) serve_variant.insert(row.path);
+  }
+  EXPECT_EQ(serve_variant, (std::set<std::string>{"wall.elapsed_s", "wall.events_per_s"}));
+}
+
+// The emitter nests rows by path, keeps their order, and writes counters as
+// integers and gauges as doubles.
+TEST(MetricRows, EmitNestedObjectsInRowOrder) {
+  struct S {
+    Counter a;
+    Gauge b;
+    Counter c;
+  };
+  const std::vector<util::MetricRow<S>> rows = {
+      {"x.a", &S::a},
+      {"x.y.b", &S::b, false},
+      {"x.c", &S::c},
+      {"z", [](const S& s) -> util::Json { return static_cast<int64_t>(s.a.value() * 2); }},
+  };
+  S s;
+  s.a.inc(3);
+  s.b.set(1.5);
+  EXPECT_EQ(util::metrics_json("t/v1", rows, s, true).dump(),
+            R"({"schema":"t/v1","x":{"a":3,"y":{"b":1.5},"c":0},"z":6})");
+  EXPECT_EQ(util::metrics_json("t/v1", rows, s, false).dump(),
+            R"({"schema":"t/v1","x":{"a":3,"c":0},"z":6})");
+}
+
+// record() folds one report: every drained epoch counts a drain, an epoch and
+// a histogram sample; the constructor's seed report counts none of them.
+TEST(Telemetry, RecordFoldsOneEpochReport) {
+  EpochReport rep;
+  rep.events = 4;
+  rep.events_applied = 3;
+  rep.events_invalid = 1;
+  rep.events_by_type[static_cast<size_t>(EventType::kUserMove)] = 4;
+  rep.repair_calls = 2;
+  rep.repair_shards_run = 5;
+  rep.repair_imbalance = 1.25;
+  rep.reassociations = 7;
+  rep.total_load = 3.0;
+  rep.baseline_load = 2.0;
   Telemetry t;
-  t.epochs.inc(3);
-  const auto text = t.to_text();
-  EXPECT_NE(text.find("epochs"), std::string::npos);
-  EXPECT_NE(text.find("handoffs"), std::string::npos);
-  EXPECT_NE(text.find("dirty_region_size"), std::string::npos);
+  t.record(rep);
+  t.record(rep, /*drained=*/false);
+  EXPECT_EQ(t.drains.value(), 1u);
+  EXPECT_EQ(t.epochs.value(), 1u);
+  EXPECT_EQ(t.events_ingested.value(), 8u);
+  EXPECT_EQ(t.events_by_type[static_cast<size_t>(EventType::kUserMove)].value(), 8u);
+  EXPECT_EQ(t.incremental_repairs.value(), 2u);
+  EXPECT_EQ(t.engine_parallel_repair_calls.value(), 4u);
+  EXPECT_EQ(t.engine_parallel_repair_shards.value(), 10u);
+  EXPECT_DOUBLE_EQ(t.engine_parallel_repair_imbalance.value(), 1.25);
+  EXPECT_DOUBLE_EQ(t.degradation_pct.value(), 50.0);
+  EXPECT_EQ(t.engine_parallel_solves.value(), 0u) << "no parallel solve reported";
+  EXPECT_EQ(t.reassoc_per_epoch.count(), 1u);
+  EXPECT_EQ(t.drain_seconds.count(), 1u);
 }
 
 }  // namespace

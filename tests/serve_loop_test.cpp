@@ -73,7 +73,7 @@ TEST(ServeLoop, ModeledTelemetryByteIdenticalAcrossThreadCounts) {
     ServeLoop loop(&c, modeled_config());
     for (const auto& te : events) loop.offer(te.t_s, te.ev);
     const ServeTelemetry& tele = loop.finish(2.0);
-    dumps.push_back(tele.to_json(/*include_wall=*/false).dump(2));
+    dumps.push_back(tele.to_json(/*include_variant=*/false).dump(2));
     EXPECT_GT(tele.batches.value(), 1u);
   }
   EXPECT_EQ(dumps[0], dumps[1]);
@@ -249,7 +249,7 @@ TEST(ServePipeline, ForceFlushJoinsTheRacingBatchAtFinish) {
     EXPECT_EQ(tele.offered.value(), tele.accepted.value() + tele.rejected.value());
     EXPECT_EQ(tele.accepted.value(),
               tele.submitted.value() + tele.coalesced.value() + tele.shed.value());
-    dumps.push_back(tele.to_json(/*include_wall=*/false).dump(2));
+    dumps.push_back(tele.to_json(/*include_variant=*/false).dump(2));
   }
   EXPECT_EQ(dumps[0], dumps[1]);
 }
@@ -299,7 +299,7 @@ TEST(ServePipeline, ModeledRunByteIdenticalPipelineOnVsOff) {
     ServeLoop loop(&c, scfg);
     for (const auto& te : events) loop.offer(te.t_s, te.ev);
     const ServeTelemetry& tele = loop.finish(2.0);
-    dumps.push_back(tele.to_json(/*include_wall=*/false).dump(2));
+    dumps.push_back(tele.to_json(/*include_variant=*/false).dump(2));
     committed.push_back(c.slot_ap());
     EXPECT_GT(tele.batches.value(), 1u);
   }

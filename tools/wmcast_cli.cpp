@@ -526,19 +526,19 @@ int cmd_serve(const util::Args& args) {
               static_cast<unsigned long long>(tele.rejected.value()),
               static_cast<unsigned long long>(tele.shed.value()),
               static_cast<unsigned long long>(tele.coalesced.value()));
-  if (!quiet) std::fputs(tele.to_text().c_str(), stdout);
+  if (!quiet) std::fputs(util::metrics_text(tele.rows(), tele).c_str(), stdout);
 
   // Wall-clock fields are nondeterministic; drop them from serialized
   // telemetry under --modeled so the block is a pure function of
   // (scenario, workload, config) — what the determinism tests diff.
-  const bool include_wall = !scfg.modeled_service;
+  const bool include_variant = !scfg.modeled_service;
   if (args.get_bool("json", false)) {
-    std::printf("%s\n", tele.to_json(include_wall).dump(2).c_str());
+    std::printf("%s\n", tele.to_json(include_variant).dump(2).c_str());
   }
   const std::string tele_out = args.get("telemetry", "");
   if (!tele_out.empty()) {
     std::ofstream f(tele_out);
-    if (!f || !(f << tele.to_json(include_wall).dump(2) << "\n")) {
+    if (!f || !(f << tele.to_json(include_variant).dump(2) << "\n")) {
       std::fprintf(stderr, "serve: cannot write %s\n", tele_out.c_str());
       return 1;
     }
