@@ -21,8 +21,9 @@
 
 using namespace wmcast;
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+namespace {
+
+int run(const util::Args& args) {
   args.reject_unknown({"scenarios", "rate", "seed", "threads"});
   util::ThreadPool pool(bench::thread_count(args));
   const int scenarios = args.get_int("scenarios", 20);
@@ -224,3 +225,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, run); }

@@ -30,10 +30,7 @@ double airtime_total_load(const wlan::Scenario& sc, const wlan::LoadReport& rep,
   return total;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   args.reject_unknown({"scenarios", "rate", "pkt", "csv", "seed", "threads"});
   util::ThreadPool pool(bench::thread_count(args));
   const int scenarios = args.get_int("scenarios", 20);
@@ -118,3 +115,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, run); }

@@ -7,7 +7,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,20 @@
 #include "wmcast/wlan/scenario_generator.hpp"
 
 namespace wmcast::bench {
+
+/// The one bench entry point: `main` forwards here. A malformed or unknown
+/// flag — std::invalid_argument from util::Args, its getters or
+/// reject_unknown — prints "<binary>: <message>" on one line and exits 1
+/// instead of aborting on an uncaught exception.
+inline int run_main(int argc, char** argv, int (*body)(const util::Args&)) {
+  try {
+    return body(util::Args(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    const char* slash = std::strrchr(argv[0], '/');
+    std::fprintf(stderr, "%s: %s\n", slash ? slash + 1 : argv[0], e.what());
+    return 1;
+  }
+}
 
 /// Monotonic wall clock in seconds, shared by every bench's timing arms.
 inline double now_seconds() {

@@ -52,10 +52,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   args.reject_unknown({"seed", "threads", "epochs", "join", "leave", "move", "walk",
                        "zap", "json", "telemetry", "solver", "threshold", "min-gain", "max-reassoc", "refresh"});
   const int epochs = args.get_int("epochs", 24);
@@ -229,3 +226,7 @@ int main(int argc, char** argv) {
 
   return (signal_ok && quality_ok) ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, run); }

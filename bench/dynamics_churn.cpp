@@ -102,10 +102,7 @@ std::vector<wlan::Association> pad_snapshots(
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   args.reject_unknown({"seed", "threads", "epochs", "join", "leave",
                        "move", "walk", "zap", "rate-prob", "json"});
   const uint64_t seed = args.get_u64("seed", 41);
@@ -280,3 +277,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, run); }

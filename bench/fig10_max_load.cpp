@@ -35,10 +35,7 @@ std::vector<bench::Algo> bla_algos() {
   };
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   args.reject_unknown({"scenarios", "rate", "csv", "seed", "threads"});
   util::ThreadPool pool(bench::thread_count(args));
   const int scenarios = args.get_int("scenarios", 40);
@@ -105,3 +102,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, run); }

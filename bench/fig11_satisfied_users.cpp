@@ -14,8 +14,9 @@
 
 using namespace wmcast;
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+namespace {
+
+int run(const util::Args& args) {
   args.reject_unknown({"scenarios", "rate", "csv", "seed", "threads", "simd"});
   util::resolve_simd(args);
   util::ThreadPool pool(bench::thread_count(args));
@@ -66,3 +67,7 @@ int main(int argc, char** argv) {
   if (args.has("csv")) t.write_csv(args.get("csv", ""));
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, run); }

@@ -58,10 +58,7 @@ double exact_mnu_unsatisfied(const wlan::Scenario& sc) {
   return sc.n_users() - res.covered;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   args.reject_unknown({"scenarios", "rate", "csv", "seed", "threads", "budget_c"});
   util::ThreadPool pool(bench::thread_count(args));
   const int scenarios = args.get_int("scenarios", 40);
@@ -196,3 +193,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, run); }

@@ -33,10 +33,7 @@ std::vector<bench::Algo> mla_algos() {
   };
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   args.reject_unknown({"scenarios", "rate", "csv", "seed", "threads", "simd"});
   util::resolve_simd(args);
   util::ThreadPool pool(bench::thread_count(args));
@@ -107,3 +104,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, run); }

@@ -15,8 +15,9 @@
 
 using namespace wmcast;
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+namespace {
+
+int run(const util::Args& args) {
   args.reject_unknown({"scenarios", "rate", "clients", "seed", "threads"});
   const int scenarios = args.get_int("scenarios", 10);
   const uint64_t seed = args.get_u64("seed", 31);
@@ -94,3 +95,7 @@ int main(int argc, char** argv) {
               " streams at all — the paper's 'minimal impact' criterion)\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, run); }

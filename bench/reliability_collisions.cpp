@@ -58,10 +58,7 @@ double mean_group_size(const wlan::Scenario& sc, const wlan::Association& assoc)
   return groups > 0 ? total / groups : 0.0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   args.reject_unknown({"scenarios", "channels", "seed", "threads"});
   const int scenarios = args.get_int("scenarios", 8);
   const uint64_t seed = args.get_u64("seed", 71);
@@ -139,3 +136,7 @@ int main(int argc, char** argv) {
               "amortize it over fewer transmissions. The layers compose (§2).\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, run); }

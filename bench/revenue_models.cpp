@@ -19,8 +19,9 @@
 
 using namespace wmcast;
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+namespace {
+
+int run(const util::Args& args) {
   args.reject_unknown({"scenarios", "rate", "seed", "threads"});
   const int scenarios = args.get_int("scenarios", 20);
   const uint64_t seed = args.get_u64("seed", 61);
@@ -152,3 +153,7 @@ int main(int argc, char** argv) {
               " is the better *guarantee* when users hear few APs — §6.1)\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, run); }

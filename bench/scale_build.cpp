@@ -64,10 +64,7 @@ struct Arm {
   size_t peak_rss = 0;      // informational: process high-water mark after it
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   args.reject_unknown({"users", "aps", "sessions", "degree", "seed", "threads",
                        "dense", "solve", "k", "require-speedup", "json", "simd"});
   util::resolve_simd(args);
@@ -229,3 +226,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, run); }

@@ -133,10 +133,7 @@ HeadlineRow measure(const wlan::GeneratorParams& big, const wlan::GeneratorParam
   return measure_set(set, nullptr, pool);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   args.reject_unknown({"scenarios", "seed", "threads"});
   util::ThreadPool pool(bench::thread_count(args));
   const int scenarios = args.get_int("scenarios", 15);
@@ -211,3 +208,7 @@ int main(int argc, char** argv) {
               "accounts for the paper's larger headline percentages.\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, run); }

@@ -11,7 +11,7 @@
 //                   [--duration=5] [--batch-max=256] [--staleness-ms=50]
 //                   [--queue-cap=0] [--policy=reject] [--refresh=0]
 //                   [--threshold=0.5] [--burst-events=1500] [--no-burst]
-//                   [--require-batching-gain=0] [--pipeline] [--k=1]
+//                   [--require-batching-gain=0] [--k=1]
 //                   [--kconn-events=4000] [--require-kconn-speedup=0]
 //                   [--json=out.json] [--simd=auto|scalar|avx2]
 //
@@ -103,15 +103,12 @@ ArmResult run_arm(const std::string& name, const wlan::Scenario& sc,
   return r;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int run(const util::Args& args) {
   args.reject_unknown({"users", "aps", "sessions", "degree", "seed", "threads",
                        "profile", "rate", "duration", "batch-max", "staleness-ms",
                        "queue-cap", "policy", "refresh", "threshold",
                        "burst-events", "no-burst", "require-batching-gain",
-                       "pipeline", "k", "kconn-events", "require-kconn-speedup",
+                       "k", "kconn-events", "require-kconn-speedup",
                        "json", "simd"});
   util::resolve_simd(args);
   const int n_users = args.get_int("users", 100000);
@@ -167,7 +164,6 @@ int main(int argc, char** argv) {
   const int queue_cap = args.get_int("queue-cap", 0);
   scfg.queue_cap = queue_cap <= 0 ? 0 : static_cast<size_t>(queue_cap);
   scfg.policy = serve::overflow_policy_from_name(args.get("policy", "reject"));
-  scfg.pipeline = args.get_bool("pipeline", false);
 
   std::printf("serve_load: %d users, %d APs, profile %s, %.0f events/s x %.1fs, "
               "batch-max %d, staleness %.0f ms, threads %d\n\n",
@@ -354,3 +350,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, run); }

@@ -7,15 +7,18 @@
 #include <cstdio>
 #include <string>
 
+#include "bench_common.hpp"
 #include "wmcast/mac/airtime.hpp"
 #include "wmcast/util/cli.hpp"
 #include "wmcast/util/stats.hpp"
 #include "wmcast/util/table.hpp"
 #include "wmcast/wlan/rate_table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace wmcast;
-  const util::Args args(argc, argv);
+using namespace wmcast;
+
+namespace {
+
+int run(const util::Args& args) {
   args.reject_unknown({"csv"});
 
   std::printf("Table 1: transmission rate vs distance threshold (802.11a)\n");
@@ -47,3 +50,7 @@ int main(int argc, char** argv) {
   if (args.has("csv")) out.write_csv(args.get("csv", ""));
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run_main(argc, argv, run); }

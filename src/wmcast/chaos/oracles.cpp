@@ -106,7 +106,7 @@ std::string overlay_diff(const Controller& a, const Controller& b) {
 }
 
 /// Serve telemetry with wall excluded is a pure function of (workload,
-/// config); the pipeline and the shard partition must not leak into it.
+/// config); the shard partition must not leak into it.
 std::string telemetry_diff(const serve::ServeTelemetry& a,
                            const serve::ServeTelemetry& b) {
   const std::string ja = a.to_json(/*include_variant=*/false).dump();
@@ -181,11 +181,10 @@ struct ServeArm {
   serve::ServeLoop loop;
   const serve::ServeTelemetry& tele;
 
-  ServeArm(const OracleInput& in, const ctrl::ControllerConfig& cfg, bool pipeline,
-           bool coalesce = true)
+  ServeArm(const OracleInput& in, const ctrl::ControllerConfig& cfg, bool coalesce = true)
       : c(in.sc, cfg),
         loop(&c, {.batch_max = 64, .staleness_s = 0.02, .queue_cap = 0,
-                  .coalesce = coalesce, .modeled_service = true, .pipeline = pipeline}),
+                  .coalesce = coalesce, .modeled_service = true}),
         tele(feed(loop, in.trace)) {}
 
   static const serve::ServeTelemetry& feed(serve::ServeLoop& loop,
@@ -486,8 +485,8 @@ ReplayCheckResult check_differential_replay(const OracleInput& in) {
 }
 
 std::vector<OracleResult> check_serve_coalescing(const OracleInput& in) {
-  const ServeArm with(in, in.cfg, /*pipeline=*/false, /*coalesce=*/true);
-  const ServeArm without(in, in.cfg, /*pipeline=*/false, /*coalesce=*/false);
+  const ServeArm with(in, in.cfg, /*coalesce=*/true);
+  const ServeArm without(in, in.cfg, /*coalesce=*/false);
   std::vector<OracleResult> out = {
       verdict("serve.coalesce_equivalence", state_diff(with.c, without.c)),
       verdict("serve.conservation_coalesced", conservation_diff(with.tele)),
@@ -501,8 +500,8 @@ std::vector<OracleResult> check_serve_coalescing(const OracleInput& in) {
 }
 
 std::vector<OracleResult> check_serve_repair_parallel(const OracleInput& in) {
-  const ServeArm seq(in, with_threads(in.cfg, 1), /*pipeline=*/false);
-  const ServeArm par(in, with_threads(in.cfg, in.threads), /*pipeline=*/true);
+  const ServeArm seq(in, with_threads(in.cfg, 1));
+  const ServeArm par(in, with_threads(in.cfg, in.threads));
   std::vector<OracleResult> out = {
       verdict("serve.repair_parallel_equivalence", commit_diff(seq.c, par.c)),
       // Bitwise, not near(): the sharded merge reduces loads in deterministic
@@ -668,10 +667,10 @@ std::vector<OracleResult> check_kconn_incremental(const OracleInput& in) {
     }
   }
 
-  // (b) Full serve stacks at k=2: threads=1/pipeline=off vs
-  // threads=N/pipeline=on must byte-agree on state, overlay and telemetry.
-  const ServeArm seq(in, c1, /*pipeline=*/false);
-  const ServeArm par(in, cn, /*pipeline=*/true);
+  // (b) Full serve stacks at k=2: threads=1 vs threads=N must byte-agree on
+  // state, overlay and telemetry.
+  const ServeArm seq(in, c1);
+  const ServeArm par(in, cn);
   std::string serve_diff = commit_diff(seq.c, par.c);
   if (serve_diff.empty()) serve_diff = overlay_diff(seq.c, par.c);
   return {

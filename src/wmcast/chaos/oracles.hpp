@@ -13,8 +13,7 @@
 //  * replay: controller threads=1 vs threads=N (committed slot_ap after
 //    every epoch), per-epoch structural invariants, telemetry conservation,
 //    and incremental repair vs a cold full re-solve (bounded degradation);
-//  * serve_repair_parallel: serve stacks at threads=1/pipeline off vs
-//    threads=N/pipeline on;
+//  * serve_repair_parallel: serve stacks at threads=1 vs threads=N;
 //  * kconn_k1_identity, kconn_parallel, kconn_incremental: the
 //    k-connectivity overlay (DESIGN.md §15-16);
 //  * serve_coalescing: serve stacks with coalescing on vs off.
@@ -120,13 +119,13 @@ ReplayCheckResult check_differential_replay(const OracleInput& in);
 /// serve tests, not this oracle.
 std::vector<OracleResult> check_serve_coalescing(const OracleInput& in);
 
-/// Sharded-repair / pipelined-serve differential: streams the trace through two
+/// Sharded-repair serve differential: streams the trace through two
 /// ServeLoop+controller stacks under the deterministic service model —
-/// threads=1 with the pipeline off vs threads=N with the pipeline on.
-/// Sharded repair merges in deterministic component order and the pipeline
-/// computes every modeled decision at dispatch, so the committed slot_ap, the
-/// LoadReport, and the serve telemetry JSON (wall excluded) must be
-/// byte-identical — any drift is a partition/merge or dispatch-ordering bug.
+/// threads=1 vs threads=N. Sharded repair merges in deterministic component
+/// order and the modeled clock prices every batch from arrival stamps alone,
+/// so the committed slot_ap, the LoadReport, and the serve telemetry JSON
+/// (wall excluded) must be byte-identical — any drift is a partition/merge
+/// bug.
 /// Checks emitted: serve.repair_parallel_equivalence (state + slot_ap),
 /// serve.repair_parallel_loads, serve.repair_parallel_telemetry, plus the
 /// controller invariants on the parallel side (serve.repair_parallel_*).
@@ -157,9 +156,10 @@ std::vector<OracleResult> check_kconn_parallel(const OracleInput& in);
 /// and multi-load report must be bitwise equal to a cold augment_to_k +
 /// compute_multi_loads re-derivation from the committed association, the two
 /// thread counts must agree with each other, and every invariant row of
-/// their ctrl telemetry (Telemetry::rows) must match; (b) two full ServeLoop+controller stacks at
-/// k = 2 — threads=1/pipeline=off vs threads=N/pipeline=on — must commit
-/// byte-identical state, overlay and serve-telemetry JSON (wall excluded).
+/// their ctrl telemetry (Telemetry::rows) must match; (b) two full
+/// ServeLoop+controller stacks at k = 2 — threads=1 vs threads=N — must
+/// commit byte-identical state, overlay and serve-telemetry JSON (wall
+/// excluded).
 std::vector<OracleResult> check_kconn_incremental(const OracleInput& in);
 
 }  // namespace wmcast::chaos

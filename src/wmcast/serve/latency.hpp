@@ -32,10 +32,10 @@ struct ServeTelemetry {
   util::Counter submitted;   // handed to the controller
   util::Counter batches;     // controller drains issued
   // Batches whose oldest event arrived while the server was still busy with
-  // the previous batch — the regime where a pipelined loop overlaps repair
-  // with ingest. Defined purely on virtual stamps, so the count is identical
-  // whether the pipeline is on or off (it measures the workload's pressure,
-  // not the implementation).
+  // the previous batch: busy-arrival pressure, defined purely on virtual
+  // stamps (it measures the workload, not the implementation). Serialized
+  // as `pipeline.overlapped` / `pipeline.occupancy` (overlapped / batches),
+  // names kept for the pinned wmcast-serve-telemetry/v1 layout.
   util::Counter pipeline_overlapped;
 
   // Virtual-time distributions, per event: latency_s (ingest -> decision

@@ -44,38 +44,6 @@ ServeLoop::ServeLoop(ctrl::AssociationController* controller, ServeConfig cfg)
   wall_start_ = now_seconds();
 }
 
-ServeLoop::~ServeLoop() {
-  // Abandoned loop: wait for the controller to finish, drop the deferred
-  // telemetry (finish() is the supported flush path).
-  if (worker_.joinable()) worker_.join();
-}
-
-void ServeLoop::harvest() {
-  if (!inflight_) return;
-  worker_.join();
-  inflight_ = false;
-  wall_in_drains_ += inflight_wall_;
-  if (inflight_error_) {
-    std::exception_ptr e = inflight_error_;
-    inflight_error_ = nullptr;
-    std::rethrow_exception(e);
-  }
-  if (!cfg_.modeled_service) {
-    const double service = inflight_wall_;
-    const double done = inflight_start_ + service;
-    free_at_ = done;
-    for (const auto& se : inflight_batch_) {
-      telemetry_.latency_s.record(done - se.t_s);
-      telemetry_.queue_wait_s.record(inflight_start_ - se.t_s);
-      telemetry_.decision_s.record(done - inflight_start_);
-    }
-    telemetry_.service_s.record(service);
-    telemetry_.submitted.inc(inflight_submitted_);
-    telemetry_.batches.inc();
-    inflight_batch_.clear();
-  }
-}
-
 void ServeLoop::offer(double t_s, const ctrl::Event& e) {
   util::require(t_s >= last_arrival_, "ServeLoop: arrival stamps must be non-decreasing");
   last_arrival_ = t_s;
@@ -101,10 +69,6 @@ void ServeLoop::advance_to(double t_s) {
 bool ServeLoop::process_one_due(double now, bool force) {
   const size_t depth = queue_.size();
   if (depth == 0) return false;
-
-  // Measured-service pipelining can't price the next trigger until the
-  // in-flight batch's wall time has landed in free_at_.
-  if (inflight_ && !cfg_.modeled_service) harvest();
 
   double t_oldest = 0.0;
   queue_.peek_stamp(0, &t_oldest);
@@ -133,9 +97,8 @@ bool ServeLoop::process_one_due(double now, bool force) {
 
   telemetry_.batch_size.record(static_cast<double>(batch.size()));
   telemetry_.queue_depth.record(static_cast<double>(depth));
-  // The batch head arrived while the (virtual) server was still busy — the
-  // overlap a pipelined loop exploits. Stamp-only, so the count is identical
-  // with the pipeline on or off.
+  // The batch head arrived while the (virtual) server was still busy:
+  // stamp-only batch pressure, independent of how service is priced.
   if (t_oldest < free_at_) telemetry_.pipeline_overlapped.inc();
 
   const std::vector<ctrl::Event> events =
@@ -146,73 +109,29 @@ bool ServeLoop::process_one_due(double now, bool force) {
         return all;
       }();
 
-  if (!cfg_.pipeline) {
-    const double wall0 = now_seconds();
-    controller_->submit(events);
-    do {
-      controller_->drain();
-    } while (controller_->pending_events() > 0);
-    const double wall = now_seconds() - wall0;
-    wall_in_drains_ += wall;
+  const double wall0 = now_seconds();
+  controller_->submit(events);
+  do {
+    controller_->drain();
+  } while (controller_->pending_events() > 0);
 
-    const double service =
-        cfg_.modeled_service
-            ? cfg_.model_batch_s + cfg_.model_event_s * static_cast<double>(events.size())
-            : wall;
-    const double done = start + service;
-    free_at_ = done;
+  const double service =
+      cfg_.modeled_service
+          ? cfg_.model_batch_s + cfg_.model_event_s * static_cast<double>(events.size())
+          : now_seconds() - wall0;
+  const double done = start + service;
+  free_at_ = done;
 
-    // Every ingested event — including ones coalesced away — has its intent
-    // decided when the batch commits.
-    for (const auto& se : batch) {
-      telemetry_.latency_s.record(done - se.t_s);
-      telemetry_.queue_wait_s.record(start - se.t_s);
-      telemetry_.decision_s.record(done - start);
-    }
-    telemetry_.service_s.record(service);
-    telemetry_.submitted.inc(events.size());
-    telemetry_.batches.inc();
-    return true;
+  // Every ingested event — including ones coalesced away — has its intent
+  // decided when the batch commits.
+  for (const auto& se : batch) {
+    telemetry_.latency_s.record(done - se.t_s);
+    telemetry_.queue_wait_s.record(start - se.t_s);
+    telemetry_.decision_s.record(done - start);
   }
-
-  // Pipelined: batches apply in order, so the previous batch's controller
-  // work must commit before this one dispatches (one batch in flight).
-  harvest();
-  if (cfg_.modeled_service) {
-    // Modeled service is a pure function of the submitted batch, so free_at_
-    // and every telemetry record are committed here at dispatch — the run is
-    // byte-identical to pipeline = false; only the controller drain overlaps
-    // with ingesting the next batch.
-    const double service =
-        cfg_.model_batch_s + cfg_.model_event_s * static_cast<double>(events.size());
-    const double done = start + service;
-    free_at_ = done;
-    for (const auto& se : batch) {
-      telemetry_.latency_s.record(done - se.t_s);
-      telemetry_.queue_wait_s.record(start - se.t_s);
-      telemetry_.decision_s.record(done - start);
-    }
-    telemetry_.service_s.record(service);
-    telemetry_.submitted.inc(events.size());
-    telemetry_.batches.inc();
-  } else {
-    inflight_batch_ = batch;
-    inflight_start_ = start;
-    inflight_submitted_ = events.size();
-  }
-  inflight_ = true;
-  worker_ = std::thread([this, events]() {
-    const double wall0 = now_seconds();
-    try {
-      controller_->submit(events);
-      do {
-        controller_->drain();
-      } while (controller_->pending_events() > 0);
-    } catch (...) {
-      inflight_error_ = std::current_exception();
-    }
-    inflight_wall_ = now_seconds() - wall0;
-  });
+  telemetry_.service_s.record(service);
+  telemetry_.submitted.inc(events.size());
+  telemetry_.batches.inc();
   return true;
 }
 
@@ -281,7 +200,6 @@ std::vector<ctrl::Event> ServeLoop::coalesce_batch(
 const ServeTelemetry& ServeLoop::finish(double end_t_s) {
   while (process_one_due(std::numeric_limits<double>::infinity(), /*force=*/true)) {
   }
-  harvest();  // the final batch may still be in flight
   telemetry_.virtual_duration_s = std::max({end_t_s, free_at_, last_arrival_});
   telemetry_.wall_elapsed_s = now_seconds() - wall_start_;
   return telemetry_;

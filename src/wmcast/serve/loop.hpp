@@ -14,9 +14,7 @@
 // of (workload, config).
 #pragma once
 
-#include <exception>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "wmcast/ctrl/controller.hpp"
@@ -52,14 +50,6 @@ struct ServeConfig {
   bool modeled_service = false;
   double model_batch_s = 200e-6;
   double model_event_s = 2e-6;
-  /// Overlap the controller's repair work with ingest/coalescing of the next
-  /// batch: each batch's submit+drain runs on a worker thread, one batch in
-  /// flight, batches applied in order. With modeled_service every decision
-  /// and telemetry field is computed at dispatch from arrival stamps alone,
-  /// so the run stays byte-identical to pipeline = false; with measured
-  /// service the loop harvests the in-flight batch before pricing the next
-  /// trigger (free_at_ needs the measured service time).
-  bool pipeline = false;
 };
 
 /// Feeds one AssociationController (borrowed; must outlive the loop) from a
@@ -70,7 +60,6 @@ struct ServeConfig {
 class ServeLoop {
  public:
   ServeLoop(ctrl::AssociationController* controller, ServeConfig cfg);
-  ~ServeLoop();
   ServeLoop(const ServeLoop&) = delete;
   ServeLoop& operator=(const ServeLoop&) = delete;
 
@@ -94,10 +83,6 @@ class ServeLoop {
 
  private:
   bool process_one_due(double now, bool force);
-  /// Joins the in-flight pipelined batch (if any), folds its wall time into
-  /// the drain accounting, and — in measured-service mode — commits its
-  /// deferred free_at_ update and telemetry. Rethrows a controller error.
-  void harvest();
   /// In-place batch coalescing; returns the events to submit, incrementing
   /// telemetry_.coalesced for every event folded away. Safe rules only: the
   /// last move / last subscribe per user wins when that user has nothing but
@@ -113,19 +98,6 @@ class ServeLoop {
   double free_at_ = 0.0;
   double last_arrival_ = 0.0;
   double wall_start_ = 0.0;
-  double wall_in_drains_ = 0.0;
-
-  // Pipeline state: at most one batch's controller work runs on worker_ while
-  // the main thread ingests the next. The worker touches only controller_ and
-  // inflight_wall_/inflight_error_; join() publishes them back.
-  std::thread worker_;
-  bool inflight_ = false;
-  double inflight_wall_ = 0.0;
-  std::exception_ptr inflight_error_;
-  // Measured-service mode defers free_at_ + per-event telemetry to harvest().
-  std::vector<ctrl::StampedEvent> inflight_batch_;
-  double inflight_start_ = 0.0;
-  size_t inflight_submitted_ = 0;
 };
 
 }  // namespace wmcast::serve

@@ -89,7 +89,10 @@ uint64_t Args::get_u64(const std::string& key, uint64_t def) const {
 bool Args::get_bool(const std::string& key, bool def) const {
   const auto it = kv_.find(key);
   if (it == kv_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  bad_value(key, v, "true/1/yes or false/0/no", "not a boolean");
 }
 
 void Args::reject_unknown(std::initializer_list<std::string_view> known) const {

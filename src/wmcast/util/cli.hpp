@@ -15,7 +15,9 @@ namespace wmcast::util {
 /// name ("--" or "--=x") is rejected the same way. Numeric getters require
 /// the whole value to parse — "--n=12x" or "--rate=" throw with the offending
 /// key and value in the message, and get_u64 rejects negative values instead
-/// of wrapping them.
+/// of wrapping them. get_bool takes the bare flag or true/1/yes/false/0/no
+/// and throws on any other value, so "--json=out.json" is never a silent
+/// false.
 class Args {
  public:
   Args(int argc, char** argv);

@@ -225,33 +225,20 @@ TEST(ServeLoop, ZeroStalenessDispatchesEveryEventImmediately) {
   EXPECT_EQ(tele.submitted.value() + tele.coalesced.value(), 10u);
   // No staleness wait component: latency is pure modeled service.
   EXPECT_LE(tele.queue_wait_s.quantile(1.0), 1e-9);
-}
 
-// finish() racing an in-flight pipelined batch: with staleness 0 every batch
-// dispatches eagerly, so the final offer's batch is typically still in flight
-// when finish() force-drains. The force-flush must join it, harvest its
-// telemetry, and still be byte-identical to the unpipelined run.
-TEST(ServePipeline, ForceFlushJoinsTheRacingBatchAtFinish) {
-  const auto sc = test_scenario();
+  // A dense stream finished right at its last stamp: no advance_to grace, so
+  // the force-drain itself dispatches the final batches, and every accepted
+  // event must still be accounted for exactly once.
   const auto events = test_workload(sc);
-
-  std::vector<std::string> dumps;
-  for (const bool pipeline : {false, true}) {
-    ctrl::AssociationController c(sc, controller_config(pipeline ? 4 : 1));
-    ServeConfig scfg = modeled_config();
-    scfg.staleness_s = 0.0;
-    scfg.pipeline = pipeline;
-    ServeLoop loop(&c, scfg);
-    for (const auto& te : events) loop.offer(te.t_s, te.ev);
-    // Finish right at the last stamp: no advance_to grace, so any in-flight
-    // batch is joined by the force-drain itself.
-    const ServeTelemetry& tele = loop.finish(events.back().t_s);
-    EXPECT_EQ(tele.offered.value(), tele.accepted.value() + tele.rejected.value());
-    EXPECT_EQ(tele.accepted.value(),
-              tele.submitted.value() + tele.coalesced.value() + tele.shed.value());
-    dumps.push_back(tele.to_json(/*include_variant=*/false).dump(2));
-  }
-  EXPECT_EQ(dumps[0], dumps[1]);
+  ctrl::AssociationController dense(sc, controller_config(1));
+  ServeLoop eager(&dense, scfg);
+  for (const auto& te : events) eager.offer(te.t_s, te.ev);
+  const ServeTelemetry& flushed = eager.finish(events.back().t_s);
+  EXPECT_EQ(flushed.offered.value(), events.size());
+  EXPECT_EQ(flushed.offered.value(), flushed.accepted.value() + flushed.rejected.value());
+  EXPECT_EQ(flushed.accepted.value(),
+            flushed.submitted.value() + flushed.coalesced.value() + flushed.shed.value());
+  EXPECT_EQ(flushed.latency_s.count(), flushed.accepted.value());
 }
 
 TEST(ServeLoop, OfferRequiresMonotoneStamps) {
@@ -283,39 +270,14 @@ TEST(ServeRepro, CommittedStormReproStaysFixed) {
   EXPECT_TRUE(saw_equivalence);
 }
 
-// Pipelined dispatch must not change a single byte of the modeled run: the
-// decision sequence, the committed association, and the full deterministic
-// telemetry document are identical with the pipeline on or off.
-TEST(ServePipeline, ModeledRunByteIdenticalPipelineOnVsOff) {
-  const auto sc = test_scenario();
-  const auto events = test_workload(sc);
-
-  std::vector<std::string> dumps;
-  std::vector<std::vector<int>> committed;
-  for (const bool pipeline : {false, true}) {
-    ctrl::AssociationController c(sc, controller_config(pipeline ? 4 : 1));
-    ServeConfig scfg = modeled_config();
-    scfg.pipeline = pipeline;
-    ServeLoop loop(&c, scfg);
-    for (const auto& te : events) loop.offer(te.t_s, te.ev);
-    const ServeTelemetry& tele = loop.finish(2.0);
-    dumps.push_back(tele.to_json(/*include_variant=*/false).dump(2));
-    committed.push_back(c.slot_ap());
-    EXPECT_GT(tele.batches.value(), 1u);
-  }
-  EXPECT_EQ(dumps[0], dumps[1]);
-  EXPECT_EQ(committed[0], committed[1]);
-}
-
-// Measured-service pipelining takes the deferred-harvest path; the
+// Measured (wall-clock) service prices each batch by its drain time; the
 // conservation laws and the per-event histogram counts must still close.
-TEST(ServePipeline, WallModePipelineConserves) {
+TEST(ServeLoop, WallClockServiceConserves) {
   const auto sc = test_scenario();
   const auto events = test_workload(sc);
   ctrl::AssociationController c(sc, controller_config(1));
   ServeConfig scfg = modeled_config();
   scfg.modeled_service = false;
-  scfg.pipeline = true;
   ServeLoop loop(&c, scfg);
   for (const auto& te : events) loop.offer(te.t_s, te.ev);
   const ServeTelemetry& tele = loop.finish(2.0);
@@ -350,7 +312,7 @@ TEST(ServeTelemetrySplit, HistogramCountsConserve) {
 
 // The occupancy instrument is stamp-defined: a one-batch idle run reports no
 // overlap; a saturating burst (service model slower than arrivals) reports
-// overlapped batches, identically with the pipeline on or off.
+// overlapped batches.
 TEST(ServeTelemetrySplit, OverlappedCounterTracksBusyArrivals) {
   const auto sc = test_scenario();
   ServeConfig scfg = modeled_config();
@@ -358,21 +320,14 @@ TEST(ServeTelemetrySplit, OverlappedCounterTracksBusyArrivals) {
   scfg.staleness_s = 0.0005;
   scfg.model_batch_s = 0.05;  // each batch far outlasts the arrival gap
 
-  std::vector<uint64_t> overlapped;
-  for (const bool pipeline : {false, true}) {
-    ctrl::AssociationController c(sc, controller_config(1));
-    ServeConfig pcfg = scfg;
-    pcfg.pipeline = pipeline;
-    ServeLoop loop(&c, pcfg);
-    for (int i = 0; i < 64; ++i) {
-      loop.offer(0.001 * i, ctrl::Event::move(i % sc.n_users(), {1.0 + i, 1.0}));
-    }
-    const ServeTelemetry& tele = loop.finish();
-    EXPECT_GT(tele.pipeline_overlapped.value(), 0u);
-    EXPECT_LE(tele.pipeline_overlapped.value(), tele.batches.value());
-    overlapped.push_back(tele.pipeline_overlapped.value());
+  ctrl::AssociationController busy(sc, controller_config(1));
+  ServeLoop loop(&busy, scfg);
+  for (int i = 0; i < 64; ++i) {
+    loop.offer(0.001 * i, ctrl::Event::move(i % sc.n_users(), {1.0 + i, 1.0}));
   }
-  EXPECT_EQ(overlapped[0], overlapped[1]);
+  const ServeTelemetry& saturated = loop.finish();
+  EXPECT_GT(saturated.pipeline_overlapped.value(), 0u);
+  EXPECT_LE(saturated.pipeline_overlapped.value(), saturated.batches.value());
 
   // Idle stream: one batch, server never busy when its head arrived.
   ctrl::AssociationController c(sc, controller_config(1));
@@ -383,8 +338,8 @@ TEST(ServeTelemetrySplit, OverlappedCounterTracksBusyArrivals) {
   EXPECT_EQ(tele.pipeline_overlapped.value(), 0u);
 }
 
-// Oracle-level regression for the sharded-repair/pipelined-serve
-// differential: the committed repro must keep passing through the run_repro
+// Oracle-level regression for the sharded-repair serve differential: the
+// committed repro must keep passing through the run_repro
 // serve.repair_parallel dispatch.
 TEST(ServeRepro, CommittedRepairParallelReproStaysFixed) {
   const std::filesystem::path path = std::filesystem::path(WMCAST_TEST_DATA_DIR) /

@@ -45,6 +45,10 @@ TEST(Args, BoolParsesCommonSpellings) {
   EXPECT_TRUE(make_args({"--x=yes"}).get_bool("x", false));
   EXPECT_FALSE(make_args({"--x=false"}).get_bool("x", true));
   EXPECT_FALSE(make_args({"--x=0"}).get_bool("x", true));
+  EXPECT_FALSE(make_args({"--x=no"}).get_bool("x", true));
+  // Anything else is a typo or a misplaced filename, never a silent false.
+  EXPECT_THROW(make_args({"--x=chaos.json"}).get_bool("x", false), std::invalid_argument);
+  EXPECT_THROW(make_args({"--x="}).get_bool("x", false), std::invalid_argument);
 }
 
 TEST(Args, RejectsPositionalArguments) {

@@ -27,8 +27,8 @@
 //                        streamed incrementally and paced at --rate]
 //                        [--batch-max=256 --staleness-ms=50 --queue-cap=8192
 //                        --policy=reject|shed --no-coalesce --modeled
-//                        --pipeline --solver=mla-c --seed=1 --threads=N
-//                        --k=1 --telemetry=tele.json --trace-out=t.txt --json
+//                        --solver=mla-c --seed=1 --threads=N --k=1
+//                        --telemetry=tele.json --trace-out=t.txt --json
 //                        --quiet]
 //   wmcast_cli chaos     [--seed=1 --scenarios=20 --profile=mixed --threads=4
 //                        --solver=mla-c --aps=16 --users=60 --sessions=4
@@ -419,7 +419,7 @@ int cmd_serve(const util::Args& args) {
        "solver", "basic-rate", "threshold", "refresh", "max-reassoc", "min-gain",
        "no-admission", "seed", "threads", "k", "profile", "duration", "rate",
        "workload-seed", "batch-max", "staleness-ms", "queue-cap", "policy",
-       "no-coalesce", "modeled", "pipeline", "telemetry", "trace-out",
+       "no-coalesce", "modeled", "telemetry", "trace-out",
        "trace-epoch-s", "quiet", "json", "simd"});
 
   wlan::Scenario sc = [&] {
@@ -464,7 +464,6 @@ int cmd_serve(const util::Args& args) {
   scfg.policy = serve::overflow_policy_from_name(args.get("policy", "reject"));
   scfg.coalesce = !args.get_bool("no-coalesce", false);
   scfg.modeled_service = args.get_bool("modeled", false);
-  scfg.pipeline = args.get_bool("pipeline", false);
   serve::ServeLoop loop(&controller, scfg);
 
   const double rate = args.get_double("rate", 1000.0);
