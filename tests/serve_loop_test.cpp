@@ -225,20 +225,33 @@ TEST(ServeLoop, ZeroStalenessDispatchesEveryEventImmediately) {
   EXPECT_EQ(tele.submitted.value() + tele.coalesced.value(), 10u);
   // No staleness wait component: latency is pure modeled service.
   EXPECT_LE(tele.queue_wait_s.quantile(1.0), 1e-9);
+}
 
-  // A dense stream finished right at its last stamp: no advance_to grace, so
-  // the force-drain itself dispatches the final batches, and every accepted
-  // event must still be accounted for exactly once.
+// finish() racing the batch due at the last stamp: with staleness 0 every
+// batch dispatches eagerly, and finishing right at the last stamp (no
+// advance_to grace) leaves the final batches to the force-drain itself. It
+// must account for every accepted event exactly once, and the run must be
+// byte-identical with one controller thread or four.
+TEST(ServePipeline, ForceFlushJoinsTheRacingBatchAtFinish) {
+  const auto sc = test_scenario();
   const auto events = test_workload(sc);
-  ctrl::AssociationController dense(sc, controller_config(1));
-  ServeLoop eager(&dense, scfg);
-  for (const auto& te : events) eager.offer(te.t_s, te.ev);
-  const ServeTelemetry& flushed = eager.finish(events.back().t_s);
-  EXPECT_EQ(flushed.offered.value(), events.size());
-  EXPECT_EQ(flushed.offered.value(), flushed.accepted.value() + flushed.rejected.value());
-  EXPECT_EQ(flushed.accepted.value(),
-            flushed.submitted.value() + flushed.coalesced.value() + flushed.shed.value());
-  EXPECT_EQ(flushed.latency_s.count(), flushed.accepted.value());
+
+  std::vector<std::string> dumps;
+  for (const int threads : {1, 4}) {
+    ctrl::AssociationController c(sc, controller_config(threads));
+    ServeConfig scfg = modeled_config();
+    scfg.staleness_s = 0.0;
+    ServeLoop loop(&c, scfg);
+    for (const auto& te : events) loop.offer(te.t_s, te.ev);
+    const ServeTelemetry& tele = loop.finish(events.back().t_s);
+    EXPECT_EQ(tele.offered.value(), events.size());
+    EXPECT_EQ(tele.offered.value(), tele.accepted.value() + tele.rejected.value());
+    EXPECT_EQ(tele.accepted.value(),
+              tele.submitted.value() + tele.coalesced.value() + tele.shed.value());
+    EXPECT_EQ(tele.latency_s.count(), tele.accepted.value());
+    dumps.push_back(tele.to_json(/*include_variant=*/false).dump(2));
+  }
+  EXPECT_EQ(dumps[0], dumps[1]);
 }
 
 TEST(ServeLoop, OfferRequiresMonotoneStamps) {
